@@ -42,7 +42,10 @@
 // -durable flag fsyncs every commit and runs crash recovery at open; it
 // is off by default so that read-only subcommands never mutate a store
 // directory (recovery truncates and sweeps — running it under a live
-// avstored would corrupt the daemon's in-flight writes). fsck forces it
+// avstored would corrupt the daemon's in-flight writes). A legacy store
+// (per-array versions.json, no manifest) is import-only without it:
+// reads work, writes are refused, and one -durable open migrates it to
+// the manifest and makes it writable. fsck forces it
 // on, reports what recovery repaired, then deep-verifies the store-wide
 // manifest commit log (checksums, sequence continuity, orphaned-record
 // sweep) and runs the full integrity check over every array; only run
@@ -80,7 +83,7 @@ func run(args []string) error {
 	storeDir := global.String("store", "", "store directory (required)")
 	cacheBytes := global.Int64("cache-bytes", 0, "decoded-chunk cache budget in bytes (0 disables)")
 	parallelism := global.Int("parallelism", 0, "hot-path worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	durable := global.Bool("durable", false, "fsync commits and run crash recovery at open (do not use on a store a live avstored owns)")
+	durable := global.Bool("durable", false, "fsync commits and run crash recovery at open; a legacy store becomes writable after one durable open, which migrates it to the manifest (do not use on a store a live avstored owns)")
 	if err := global.Parse(args); err != nil {
 		return err
 	}
@@ -377,18 +380,16 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if mrep.Enabled {
-			fmt.Printf("manifest: gen %d, snapshot seq %d, %d log record(s) through seq %d, %d array(s), %s torn tail\n",
-				mrep.Gen, mrep.SnapshotSeq, mrep.LogRecords, mrep.LastSeq, mrep.Arrays, human(mrep.TornBytes))
-			for _, f := range mrep.StrayFiles {
-				fmt.Printf("  stray: %s\n", f)
-			}
-			for _, p := range mrep.Problems {
-				fmt.Printf("  PROBLEM: %s\n", p)
-				problems++
-			}
-		} else {
-			fmt.Println("manifest: not in use (legacy per-array commit protocol)")
+		// the durable open migrated any legacy store, so the manifest
+		// is always in use here
+		fmt.Printf("manifest: gen %d, snapshot seq %d, %d log record(s) through seq %d, %d array(s), %s torn tail\n",
+			mrep.Gen, mrep.SnapshotSeq, mrep.LogRecords, mrep.LastSeq, mrep.Arrays, human(mrep.TornBytes))
+		for _, f := range mrep.StrayFiles {
+			fmt.Printf("  stray: %s\n", f)
+		}
+		for _, p := range mrep.Problems {
+			fmt.Printf("  PROBLEM: %s\n", p)
+			problems++
 		}
 		names := store.ListArrays()
 		if *name != "" {

@@ -129,8 +129,16 @@ func timed(fn func() error) (time.Duration, error) {
 	return time.Since(start), err
 }
 
+// fmtDur prints d with three decimals in the largest unit it reaches
+// (1.235s, 12.346ms, 45.678µs, 789ns), so microsecond results do not
+// collapse to 0.000s.
 func fmtDur(d time.Duration) string {
-	return fmt.Sprintf("%.3fs", d.Seconds())
+	for _, unit := range []time.Duration{time.Second, time.Millisecond, time.Microsecond} {
+		if d >= unit {
+			return d.Round(unit / 1000).String()
+		}
+	}
+	return d.String()
 }
 
 func fmtBytes(b int64) string {

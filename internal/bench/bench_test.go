@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The experiment runners are exercised end to end at QuickScale; shape
@@ -263,6 +264,19 @@ func TestTableRendering(t *testing.T) {
 	for _, want := range []string{"== T ==", "A", "BB", "yyyy", "note: n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestFmtDurAdaptiveUnits(t *testing.T) {
+	for d, want := range map[time.Duration]string{
+		1234567890 * time.Nanosecond: "1.235s",
+		12345678 * time.Nanosecond:   "12.346ms",
+		45678 * time.Nanosecond:      "45.678µs",
+		789 * time.Nanosecond:        "789ns",
+	} {
+		if got := fmtDur(d); got != want {
+			t.Errorf("fmtDur(%d) = %q, want %q", int64(d), got, want)
 		}
 	}
 }

@@ -10,25 +10,23 @@ import (
 	"arrayvers/internal/core"
 )
 
-// The manifest experiment measures the store-wide commit log against
-// the legacy per-array commit protocol on the workload the log was
-// built for: batches that span several arrays. The manifest store
-// lands each K-array batch with Store.InsertMulti — one append, one
-// fsync, atomic across members — while the baseline store (opened with
-// Options.PerArrayCommit) pays K separate InsertBatch commits, each
-// with its own versions.json rename and directory fsync, and offers no
-// cross-array atomicity at all.
+// The manifest experiment measures the store-wide commit log on the
+// workload it was built for: batches that span several arrays. The
+// "manifest" mode lands each K-array batch with Store.InsertMulti —
+// one record, one append, one fsync, atomic across members — while the
+// "per-array" baseline lands the same batch as K sequential InsertBatch
+// calls on the same kind of store: K records, each its own append and
+// log fsync, with no atomicity across the members.
 
 // ManifestResult is one mode's measurement, serialized into
 // BENCH_manifest.json by cmd/avbench.
 type ManifestResult struct {
-	Mode         string  `json:"mode"` // "manifest" or "per-array"
-	Arrays       int     `json:"arrays"`
-	Batches      int     `json:"batches"`
-	NsPerBatch   int64   `json:"ns_per_batch"`
+	Mode          string  `json:"mode"` // "manifest" or "per-array"
+	Arrays        int     `json:"arrays"`
+	Batches       int     `json:"batches"`
+	NsPerBatch    int64   `json:"ns_per_batch"`
 	BatchesPerSec float64 `json:"batches_per_sec"`
-	// MetaFsyncs counts the durable metadata-commit fsyncs the run paid
-	// (manifest log fsyncs, or per-array rename+dir fsync commits).
+	// MetaFsyncs counts the manifest log fsyncs the run paid.
 	MetaFsyncs int64 `json:"meta_fsyncs"`
 	// FsyncsPerBatch is MetaFsyncs/Batches: 1.0 for the manifest, K for
 	// the per-array baseline.
@@ -82,7 +80,7 @@ func Manifest(workDir string, sc Scale, parallelism int) (Table, ManifestSummary
 	}
 
 	t := Table{
-		Title:   "Cross-array batch ingest — manifest log vs per-array commit",
+		Title:   "Cross-array batch ingest — one InsertMulti record vs K InsertBatch records",
 		Columns: []string{"Mode", "Arrays", "Batches", "ns/batch", "batches/s", "meta fsyncs", "fsyncs/batch"},
 	}
 	for _, r := range summary.Results {
@@ -110,7 +108,6 @@ func runManifestConfig(dir, mode string, arrays, batches int, side int64, parall
 	opts := core.DefaultOptions()
 	opts.Durability = true
 	opts.Parallelism = parallelism
-	opts.PerArrayCommit = mode == "per-array"
 	// bulk-ingest shape, as in the ingest experiment: the run measures
 	// the commit protocol, not chain decoding
 	opts.AutoDelta = false
@@ -191,16 +188,7 @@ func runManifestConfig(dir, mode string, arrays, batches int, side int64, parall
 			return ManifestResult{}, fmt.Errorf("manifest %s: verify %s failed: %v", mode, n, rep.Problems)
 		}
 	}
-	st := store.Stats()
-	var metaFsyncs int64
-	if mode == "manifest" {
-		metaFsyncs = st.ManifestFsyncs - before.ManifestFsyncs
-	} else {
-		// the per-array protocol pays one versions.json rename commit per
-		// InsertBatch call; each is one durable commit point, which
-		// GroupCommits counts
-		metaFsyncs = st.GroupCommits - before.GroupCommits
-	}
+	metaFsyncs := store.Stats().ManifestFsyncs - before.ManifestFsyncs
 	res := ManifestResult{
 		Mode:          mode,
 		Arrays:        arrays,

@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,13 +93,13 @@ type Options struct {
 	AutoTune AutoTuneOptions
 	// Durability makes every commit crash-safe: chunk writes are fsynced
 	// (file and directory) before the metadata commit, the metadata
-	// commit itself is a durable manifest-log append (or, for
-	// PerArrayCommit stores, a tmp-write + fsync + rename + parent-dir
-	// fsync of versions.json), and Open runs crash recovery (see
-	// DESIGN.md "Durability & recovery"). The first durable open of a
-	// legacy store migrates it to the manifest in place unless
-	// PerArrayCommit is set. Off by default so I/O accounting matches
-	// the paper's tables; avstored and the avstore CLI turn it on.
+	// commit itself is a durable manifest-log append, and Open runs
+	// crash recovery (see DESIGN.md "Durability & recovery"). It is also
+	// what makes a legacy store (per-array versions.json, no manifest)
+	// writable: the first durable open migrates it to the manifest in
+	// place, while a non-durable open serves its reads and refuses every
+	// write. Off by default so I/O accounting matches the paper's
+	// tables; avstored and the avstore CLI turn it on.
 	Durability bool
 	// HealInterval is the background heal prober's period once an array
 	// (or the whole store) has entered degraded read-only mode after an
@@ -116,16 +115,6 @@ type Options struct {
 	// array. Exists for the ingest benchmark's per-insert-commit baseline
 	// and for bisecting; production callers leave it off.
 	DisableGroupCommit bool
-	// PerArrayCommit keeps a legacy store on the PR 3 per-array
-	// versions.json commit protocol instead of migrating it to the
-	// store-wide manifest log on its first durable open (see DESIGN.md
-	// "Manifest & commit log"). It only affects stores that have not
-	// migrated yet: once a CURRENT pointer exists, the store always
-	// opens manifest-format whatever this flag says. Exists for the
-	// manifest benchmark's per-array baseline and for bisecting;
-	// production callers leave it off. Cross-array InsertMulti requires
-	// the manifest and fails under this flag.
-	PerArrayCommit bool
 	// ManifestRotateBytes is the manifest log size that triggers a
 	// snapshot rotation. Zero means a 4 MiB default; negative disables
 	// rotation (the log grows without bound).
@@ -244,9 +233,10 @@ type Store struct {
 	closed bool    // set by Close; guarded by mu
 	arrays map[string]*arrayState
 	// man is the store-wide manifest log — THE commit point of every
-	// metadata mutation when non-nil (see manifest.go). Nil means the
-	// store runs the legacy per-array versions.json commit protocol.
-	// Set once by Open, immutable afterwards.
+	// metadata mutation (see manifest.go). Nil only for a legacy store
+	// opened without Durability, which is import-only: it serves reads
+	// and writeGate refuses every mutation. Set once by Open, immutable
+	// afterwards.
 	man *manifest
 	// epochs[name] is bumped whenever an array's on-disk encoding is
 	// invalidated (Reorganize, DeleteVersion, DeleteArray); it is part of
@@ -371,7 +361,7 @@ type IOStats struct {
 	// that carried them, so ManifestRecords/ManifestAppends is the
 	// cross-array coalescing factor. ManifestFsyncs counts log fsyncs
 	// (equal to appends under Durability); ManifestRotations counts
-	// snapshot rotations. All zero on legacy per-array stores.
+	// snapshot rotations.
 	ManifestRecords   int64
 	ManifestAppends   int64
 	ManifestFsyncs    int64
@@ -425,13 +415,14 @@ type IOStats struct {
 
 // Open creates or reopens a store rooted at dir. A CURRENT pointer in
 // the root marks the store manifest-format: Open replays the snapshot
-// plus the log to rebuild every array (see manifest.go); otherwise the
-// legacy per-array versions.json files are scanned, and the first
-// durable open migrates them to the manifest in place (unless
-// Options.PerArrayCommit opts out). With Options.Durability on, Open
-// also runs crash recovery: it sweeps commit leftovers (metadata tmp
-// files, stale manifest generations, stale chunk generations, orphaned
-// chunk files), truncates torn chunk-file and manifest-log tails, and
+// plus the log to rebuild every array (see manifest.go). Without one
+// the store is legacy and import-only: its per-array versions.json
+// documents are read once, and a durable open migrates them to the
+// manifest in place; a store without a manifest is never written (see
+// openLegacyStore). With Options.Durability on, Open also runs crash
+// recovery: it sweeps commit leftovers (metadata tmp files, stale
+// manifest generations, stale chunk generations, orphaned chunk
+// files), truncates torn chunk-file and manifest-log tails, and
 // reconciles the version metadata against the payloads that survived;
 // what it repaired is reported through Stats().
 func Open(dir string, opts Options) (*Store, error) {
@@ -462,34 +453,35 @@ func Open(dir string, opts Options) (*Store, error) {
 			md.set.release()
 		}
 	})
-	if _, err := os.Stat(filepath.Join(dir, currentFile)); err == nil {
-		if err := s.openManifestStore(); err != nil {
-			return nil, err
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("core: stat %s: %w", currentFile, err)
-	} else if err := s.openLegacyStore(); err != nil {
+	if err := s.openMeta(); err != nil {
 		return nil, err
 	}
 	s.startTuner()
 	return s, nil
 }
 
-// openManifestStore replays an existing manifest store and, when
-// durable, sweeps root debris and runs per-array crash recovery.
-func (s *Store) openManifestStore() error {
-	man, err := openManifest(s)
-	if err != nil {
+// openMeta loads the committed metadata — by manifest replay, or by
+// importing a legacy store — and, when durable, sweeps root debris and
+// runs per-array crash recovery against it.
+func (s *Store) openMeta() error {
+	_, err := os.Stat(filepath.Join(s.dir, currentFile))
+	switch {
+	case err == nil:
+		s.man, err = openManifest(s)
+		if err == nil {
+			for name, doc := range s.man.state {
+				s.arrays[name] = &arrayState{arrayMeta: *doc, dir: filepath.Join(s.dir, name)}
+			}
+		}
+	case errors.Is(err, os.ErrNotExist):
+		err = s.openLegacyStore()
+	default:
+		err = fmt.Errorf("core: stat %s: %w", currentFile, err)
+	}
+	if err != nil || !s.opts.Durability {
 		return err
 	}
-	s.man = man
-	for name, doc := range man.state {
-		s.arrays[name] = &arrayState{arrayMeta: *doc, dir: filepath.Join(s.dir, name)}
-	}
-	if !s.opts.Durability {
-		return nil
-	}
-	if err := man.sweepRootLocked(); err != nil {
+	if err := s.man.sweepRootLocked(); err != nil {
 		return fmt.Errorf("core: manifest sweep: %w", err)
 	}
 	t0 := time.Now()
@@ -500,14 +492,17 @@ func (s *Store) openManifestStore() error {
 	return nil
 }
 
-// openLegacyStore scans the per-array versions.json files, runs crash
-// recovery when durable, and then — the first durable open without
-// PerArrayCommit — migrates the store to the manifest in place. A
-// fresh store (no array directories at all) is born manifest-format
-// even without Durability: there is nothing to migrate, and new stores
-// should all speak the same commit protocol. Only a pre-existing
-// legacy store opened non-durably is left untouched, so read-only
-// tooling never rewrites a store's format behind its owner's back.
+// openLegacyStore imports a store that has no manifest yet: it loads
+// every array directory's versions.json, then — on a durable open —
+// migrates the store to the manifest in place, after which openMeta
+// continues exactly like a durable manifest open (its root sweep
+// removes tombstones and half-created directories, its recovery drops
+// damaged versions through manifest records). A fresh store (no array
+// directories at all) is born manifest-format even without Durability:
+// there is nothing to import. A pre-existing legacy store opened
+// non-durably is left untouched and s.man stays nil: it serves reads,
+// and writeGate refuses every mutation, so read-only tooling never
+// rewrites a store's format behind its owner's back.
 func (s *Store) openLegacyStore() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -519,51 +514,27 @@ func (s *Store) openLegacyStore() error {
 			continue
 		}
 		sawDir = true
-		adir := filepath.Join(s.dir, e.Name())
-		if strings.HasSuffix(e.Name(), tombstoneSuffix) {
-			// a committed DeleteArray whose post-commit sweep was
-			// interrupted; never load it, remove it when recovering
-			if s.opts.Durability {
-				if err := s.fs.RemoveAll(adir); err != nil {
-					return fmt.Errorf("core: sweep deleted array %q: %w", e.Name(), err)
-				}
-				s.recovery.RemovedFiles++
-			}
-			continue
+		st, err := loadArrayState(filepath.Join(s.dir, e.Name()))
+		if errors.Is(err, os.ErrNotExist) {
+			continue // a crashed CreateArray: the array never existed
 		}
-		st, err := loadArrayState(adir)
 		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				// a directory without committed metadata is a crashed
-				// CreateArray: the array never existed. Recovery sweeps
-				// it; a non-durable open just skips it so read-only
-				// tools still work on a store with crash debris
-				if s.opts.Durability {
-					if rerr := s.fs.RemoveAll(adir); rerr != nil {
-						return fmt.Errorf("core: sweep half-created array %q: %w", e.Name(), rerr)
-					}
-					s.recovery.RemovedFiles++
-				}
-				continue
-			}
 			return fmt.Errorf("core: load array %q: %w", e.Name(), err)
 		}
-		s.arrays[st.Schema.Name] = st
-	}
-	if s.opts.Durability {
-		t0 := time.Now()
-		if err := s.recoverLocked(); err != nil {
-			return fmt.Errorf("core: crash recovery: %w", err)
+		// a directory not named after its array is a committed
+		// DeleteArray's tombstone (<name>.deleting): never load it
+		if st.Schema.Name == e.Name() {
+			s.arrays[st.Schema.Name] = st
 		}
-		s.prof.recoveryNanos.Store(time.Since(t0).Nanoseconds())
 	}
-	if !s.opts.PerArrayCommit && (s.opts.Durability || !sawDir) {
-		man, err := s.migrateToManifest()
-		if err != nil {
-			return fmt.Errorf("core: manifest migration: %w", err)
-		}
-		s.man = man
+	if !s.opts.Durability && sawDir {
+		return nil
 	}
+	man, err := s.migrateToManifest()
+	if err != nil {
+		return fmt.Errorf("core: manifest migration: %w", err)
+	}
+	s.man = man
 	return nil
 }
 
@@ -759,15 +730,16 @@ type BranchRef struct {
 }
 
 // arrayMeta is the durable metadata of one named array — exactly the
-// fields serialized into a manifest record (or, on legacy stores, into
-// versions.json). Mutators never edit the live copy in place: they
-// build a staged arrayMeta (metaClone), commit it with commitMeta, and
-// install it only after the commit succeeds, so a failed commit can
-// never leave in-memory metadata referencing an uncommitted version
-// (see insert.go "The insert commit path"). Committed documents are
-// immutable: the manifest retains the last committed doc of every
-// array for its rotation snapshots, which is only sound because every
-// later mutation stages against a fresh clone.
+// fields serialized into a manifest record (and, in legacy stores, into
+// the versions.json that migration imports). Mutators never edit the
+// live copy in place: they build a staged arrayMeta (metaClone),
+// commit it with commitMeta, and install it only after the commit
+// succeeds, so a failed commit can never leave in-memory metadata
+// referencing an uncommitted version (see insert.go "The insert commit
+// path"). Committed documents are immutable: the manifest retains the
+// last committed doc of every array for its rotation snapshots, which
+// is only sound because every later mutation stages against a fresh
+// clone.
 type arrayMeta struct {
 	Schema       array.Schema   `json:"schema"`
 	SparseRep    bool           `json:"sparseRep"`
@@ -822,10 +794,9 @@ type arrayState struct {
 	// syncMu admits one leader to the data-sync stage (drain pending,
 	// fsync every staged file and the chunks dir), commitMu admits one
 	// to the metadata stage (validate, install, commit via commitMeta —
-	// a manifest-log append, or the versions.json rename on legacy
-	// stores). A leader acquires commitMu BEFORE releasing syncMu, so
-	// batches install in drain order, while the next leader's fsyncs
-	// overlap this leader's metadata commit.
+	// a manifest-log append). A leader acquires commitMu BEFORE
+	// releasing syncMu, so batches install in drain order, while the
+	// next leader's fsyncs overlap this leader's metadata commit.
 	//
 	// commitMu doubles as the array's metadata WRITER latch: insert
 	// leaders run the metadata commit with Store.mu released (so selects
@@ -974,48 +945,6 @@ func (s *Store) saveMeta(st *arrayState) error {
 	return s.commitMeta(st, &m)
 }
 
-// saveMetaDoc is the legacy per-array commit (PerArrayCommit stores
-// and pre-migration opens; manifest stores commit through
-// s.man.commit instead — see commitMeta): marshal to a tmp file,
-// rename over versions.json, and — with Durability on — fsync the tmp
-// file before the rename and the array directory after it. The rename
-// is the commit point of the mutation: chunk payloads are synced
-// before it, so once the new metadata is durable everything it
-// references is too, and anything it does not reference is garbage for
-// recovery and Compact to reclaim.
-func (s *Store) saveMetaDoc(dir string, m *arrayMeta) error {
-	raw, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, metaFile+".tmp")
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(raw)
-	if werr == nil && s.opts.Durability {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	// failures above are benign: the commit definitively did not happen
-	// and the tmp file is debris. From the rename on, a failure's on-disk
-	// effect is uncertain (the new document may be in place, durably or
-	// not), so wrap it for the degraded-mode classifier (health.go).
-	if err := s.fs.Rename(tmp, filepath.Join(dir, metaFile)); err != nil {
-		return uncertain(err)
-	}
-	if s.opts.Durability {
-		return uncertain(s.fs.SyncDir(dir))
-	}
-	return nil
-}
-
 // --- array lifecycle (the five basic operations, §II) ---
 
 // CreateArray initializes a named array with the given schema. The first
@@ -1044,13 +973,12 @@ func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef) 
 		s.noteDiskPressure(err)
 		return err
 	}
-	if s.opts.Durability && s.man != nil {
-		// On a manifest store the directory chain must be durable BEFORE
-		// the commit record: the manifest never syncs the array directory
-		// again (no per-array rename commit), and chunk fsyncs inside a
-		// directory whose entry a crash can drop would silently lose
-		// committed data. A failure here is benign — nothing references
-		// the array yet.
+	if s.opts.Durability {
+		// The directory chain must be durable BEFORE the commit record:
+		// the manifest never syncs the array directory again, and chunk
+		// fsyncs inside a directory whose entry a crash can drop would
+		// silently lose committed data. A failure here is benign —
+		// nothing references the array yet.
 		err := s.fs.SyncDir(dir)
 		if err == nil {
 			err = s.fs.SyncDir(s.dir)
@@ -1076,45 +1004,24 @@ func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef) 
 		},
 		dir: dir,
 	}
-	err = s.saveMeta(st)
-	if err == nil && s.opts.Durability && s.man == nil {
-		// legacy commit: the array directory's entry in the store root
-		// must survive too. (A manifest store needs no root sync — the
-		// commit record is durable in the log, and recovery recreates a
-		// lost directory entry from it.)
-		err = uncertain(s.fs.SyncDir(s.dir))
-	}
-	if err != nil {
-		// the array was never visible; removing its directory resolves
-		// any on-disk uncertainty (a metadata rename that secretly
-		// landed) by deleting it. Only if that also fails can a phantom
-		// array survive to the next Open — degrade the store so writes
-		// stop until the disk recovers. (On a manifest store an
+	if err := s.saveMeta(st); err != nil {
+		// the array was never visible, so its directory is debris. An
 		// uncertain commit already degraded the store via the poisoned
-		// log, and the heal's truncation resolves the uncertainty.)
+		// log, and the heal's truncation drops the record that may have
+		// landed.
 		s.noteDiskPressure(err)
-		if rerr := s.fs.RemoveAll(dir); rerr != nil && isUncertain(err) {
-			s.degradeStore(err)
-		}
+		_ = s.fs.RemoveAll(dir)
 		return err
 	}
 	s.arrays[schema.Name] = st
 	return nil
 }
 
-// tombstoneSuffix marks an array directory whose deletion committed but
-// whose removal may not have finished. Array names cannot contain dots
-// (array.Schema validation), so the suffix can never collide with a
-// live array.
-const tombstoneSuffix = ".deleting"
-
-// DeleteArray removes an array and all of its versions. On a manifest
-// store the commit point is a single drop record appended to the
-// store-wide log; on a legacy store it is a rename to a tombstone name
-// (made durable with a store-root sync). Either way the tree removal
-// happens after the commit, so a crash can only ever leave debris for
-// Open-time recovery to sweep — never a half-deleted array that
-// resurrects with versions missing.
+// DeleteArray removes an array and all of its versions. The commit
+// point is a single drop record appended to the store-wide log; the
+// tree removal happens after the commit, so a crash can only ever
+// leave debris for Open-time recovery to sweep — never a half-deleted
+// array that resurrects with versions missing.
 //
 // The array's commitMu is held across the commit: an insert leader
 // runs its metadata commit with Store.mu released, and without this
@@ -1140,45 +1047,21 @@ func (s *Store) DeleteArray(name string) error {
 	if s.arrays[name] != st {
 		return fmt.Errorf("core: no array %q", name)
 	}
-	if s.man != nil {
-		st.ioMu.Lock()
-		err = s.man.commit([]manifestOp{{Name: name, Drop: true}})
-		if err != nil {
-			st.ioMu.Unlock()
-			s.noteCommitFailure(st, err)
-			return err
-		}
-		// post-commit garbage collection; a failure just leaves an
-		// unreferenced directory for the next durable open's root sweep.
-		// The removal is routed through the generation-map retire so it
-		// defers past cached zero-copy planes; the invalidate below (still
-		// under Store.mu, with no reader able to start meanwhile) drains
-		// those refs, so the unlink always lands before we return.
-		dir := st.dir
-		s.maps.retire(st.chunksDir(), func() { _ = s.fs.RemoveAll(dir) })
+	st.ioMu.Lock()
+	if err := s.man.commit([]manifestOp{{Name: name, Drop: true}}); err != nil {
 		st.ioMu.Unlock()
-	} else {
-		tomb := st.dir + tombstoneSuffix
-		st.ioMu.Lock()
-		err = s.fs.Rename(st.dir, tomb)
-		if err == nil && s.opts.Durability {
-			err = s.fs.SyncDir(s.dir)
-		}
-		st.ioMu.Unlock()
-		if err != nil {
-			// the tombstone rename's effect is uncertain: the directory
-			// may already be renamed while memory keeps serving the
-			// array. The heal restores the live name from the tombstone
-			// (see healArray).
-			s.noteCommitFailure(st, uncertain(err))
-			return err
-		}
-		// post-commit garbage collection; a failure just leaves the
-		// tombstone for the next Open's recovery. The mapping survives the
-		// tombstone rename (it pins inodes, not names), so retire is keyed
-		// by the pre-rename chunks path.
-		s.maps.retire(st.chunksDir(), func() { _ = s.fs.RemoveAll(tomb) })
+		s.noteCommitFailure(st, err)
+		return err
 	}
+	// post-commit garbage collection; a failure just leaves an
+	// unreferenced directory for the next durable open's root sweep.
+	// The removal is routed through the generation-map retire so it
+	// defers past cached zero-copy planes; the invalidate below (still
+	// under Store.mu, with no reader able to start meanwhile) drains
+	// those refs, so the unlink always lands before we return.
+	dir := st.dir
+	s.maps.retire(st.chunksDir(), func() { _ = s.fs.RemoveAll(dir) })
+	st.ioMu.Unlock()
 	delete(s.arrays, name)
 	s.invalidateArrayLocked(name)
 	s.workload.drop(name)

@@ -715,7 +715,6 @@ func TestCorruptChunkFileDetected(t *testing.T) {
 func TestCorruptMetadataRejectedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts()
-	opts.PerArrayCommit = true // pin the legacy versions.json loader
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -723,6 +722,11 @@ func TestCorruptMetadataRejectedOnOpen(t *testing.T) {
 	if err := s.CreateArray(schema2D("Meta", 8)); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// exercise the legacy versions.json loader
+	downgradeToLegacy(t, dir)
 	if err := os.WriteFile(filepath.Join(dir, "Meta", metaFile), []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}

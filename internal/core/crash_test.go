@@ -38,7 +38,7 @@ type crashModel struct {
 	pendingBatchIDs     []int
 	pendingBatchContent []*array.Dense
 	// aux tracks the second array ("Aux"), which exercises the
-	// CreateArray and DeleteArray (tombstone) crash points.
+	// CreateArray and DeleteArray (drop record) crash points.
 	auxInsertOK  bool // Aux's single insert committed
 	auxDeleteTry bool // DeleteArray("Aux") was attempted
 	auxDeleteOK  bool // DeleteArray("Aux") returned success
@@ -152,7 +152,7 @@ func runCrashWorkload(s *Store, side int64) (*crashModel, error) {
 	if err := insert(3); err != nil {
 		return m, err
 	}
-	// second array: create, fill, and tombstone-delete it so the matrix
+	// second array: create, fill, and delete it so the matrix
 	// covers the array-lifecycle commit points too
 	if err := s.CreateArray(schema2D("Aux", side)); err != nil {
 		return m, err

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Self-describing chunk frames (on-disk format 1). Every chunk payload
@@ -45,13 +46,34 @@ func frameLen(format int, n int64) int64 {
 	return n
 }
 
-// appendFrame wraps payload in a frame and appends it to dst.
-func appendFrame(dst, payload []byte) []byte {
+// maxFramePayload is the largest payload a frame can carry: the header
+// stores the length as a uint32.
+const maxFramePayload = 1<<32 - 1
+
+// checkFramePayload refuses a payload length the frame header cannot
+// represent. Encoding one anyway would wrap the length field: the
+// frame would read back as a torn tail, and replay would truncate it
+// together with every commit appended behind it.
+func checkFramePayload(n int64) error {
+	if n > maxFramePayload {
+		return fmt.Errorf("core: payload of %d bytes exceeds the %d-byte frame limit", n, int64(maxFramePayload))
+	}
+	return nil
+}
+
+// appendFrame wraps payload in a frame and appends it to dst. It fails,
+// leaving dst unchanged, when the payload is too large to frame;
+// callers frame before they write, so the failure is benign.
+func appendFrame(dst, payload []byte) ([]byte, error) {
+	if err := checkFramePayload(int64(len(payload))); err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, frameHeaderLen+len(payload))
 	dst = append(dst, frameMagic...)
 	dst = append(dst, frameVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+	return append(dst, payload...), nil
 }
 
 // parseFrame validates a frame read from disk (header plus payload) and

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -16,19 +14,19 @@ import (
 // modes"). The commit protocol's failure sites fall into two classes:
 //
 //   - benign: the failure happened strictly before the commit point and
-//     the failed operation's effect is known (a staging append, the
-//     metadata tmp-file create/write/fsync). The mutation rolls back,
-//     memory and disk agree, and the store stays writable.
+//     the failed operation's effect is known (a staging append, opening
+//     the manifest log for the append). The mutation rolls back, memory
+//     and disk agree, and the store stays writable.
 //
 //   - uncertain: a data or directory fsync failed (the kernel may have
-//     dropped dirty pages whose write was already acknowledged), the
-//     metadata rename failed (the new document may or may not be in
-//     place), or the post-rename directory fsync failed (the rename IS
-//     in place but may not survive a power cut — disk is ahead of
-//     memory). Accepting further writes against that state could
-//     compound a torn commit, so the array transitions into degraded
-//     read-only mode: reads keep serving the in-memory (authoritative)
-//     metadata, every mutation is refused with ErrDegraded.
+//     dropped dirty pages whose write was already acknowledged), or the
+//     manifest append's write or fsync failed (the record may be
+//     partially durable — disk may be ahead of memory). Accepting
+//     further writes against that state could compound a torn commit,
+//     so the array (or, for the shared manifest log, the whole store)
+//     transitions into degraded read-only mode: reads keep serving the
+//     in-memory (authoritative) metadata, every mutation is refused
+//     with ErrDegraded.
 //
 // ENOSPC anywhere degrades the whole store: a full disk fails the next
 // commit no matter which array it lands on.
@@ -48,8 +46,8 @@ import (
 var ErrDegraded = errors.New("core: degraded read-only mode")
 
 // commitUncertainError marks an I/O failure at or after the commit
-// point whose on-disk effect is unknown (failed rename or post-rename
-// directory fsync). saveMetaDoc wraps those phases so callers can
+// point whose on-disk effect is unknown (a failed manifest append or
+// CURRENT flip). The commit paths wrap those phases so callers can
 // distinguish them from benign pre-commit failures.
 type commitUncertainError struct{ err error }
 
@@ -114,10 +112,16 @@ func (s *Store) Health() Health {
 	return h
 }
 
-// writeGate refuses mutations on a degraded array (or store). Mutators
-// call it at entry; a failure that slips past the gate (degrade racing
-// an in-flight write) just fails its own commit and re-degrades.
+// writeGate refuses mutations on a degraded array (or store), and on
+// an import-only legacy store (no manifest: see openLegacyStore).
+// Mutators call it at entry; a failure that slips past the gate
+// (degrade racing an in-flight write) just fails its own commit and
+// re-degrades.
 func (s *Store) writeGate(name string) error {
+	if s.man == nil {
+		s.bumpRejected()
+		return fmt.Errorf("core: legacy store is import-only; reopen it with Durability (avstore -durable) to migrate it: %w", ErrDegraded)
+	}
 	s.healthMu.Lock()
 	defer s.healthMu.Unlock()
 	if s.storeDegraded != nil {
@@ -138,7 +142,7 @@ func (s *Store) bumpRejected() {
 }
 
 // noteCommitFailure classifies a failure at an UNCERTAIN commit-protocol
-// site (data fsync, chunks-dir fsync, metadata rename/dir-fsync): the
+// site (data fsync, chunks-dir fsync, manifest append): the
 // array degrades, and ENOSPC additionally degrades the whole store.
 // Callers may hold Store.mu; healthMu and statsMu are leaf locks.
 func (s *Store) noteCommitFailure(st *arrayState, err error) {
@@ -152,7 +156,7 @@ func (s *Store) noteCommitFailure(st *arrayState, err error) {
 }
 
 // noteDiskPressure classifies a failure at a BENIGN site (staging,
-// pre-commit tmp writes): the mutation rolled back cleanly, but ENOSPC
+// pre-commit writes): the mutation rolled back cleanly, but ENOSPC
 // still means the disk is full — degrade store-wide so later commits
 // don't have to discover it the hard way.
 func (s *Store) noteDiskPressure(err error) {
@@ -244,11 +248,10 @@ func (s *Store) Heal() (HealReport, error) {
 		// An uncertain manifest append or CURRENT flip poisoned the log;
 		// truncate the unhealed tail (or finish the flip) before declaring
 		// the store writable again, or the next append would stack a record
-		// on bytes whose durability is unknown.
-		if s.man != nil {
-			if err := s.man.heal(); err != nil {
-				return rep, fmt.Errorf("core: heal manifest: %w", err)
-			}
+		// on bytes whose durability is unknown. (Only a store with a
+		// manifest accepts writes, so only one can be degraded.)
+		if err := s.man.heal(); err != nil {
+			return rep, fmt.Errorf("core: heal manifest: %w", err)
 		}
 		s.healthMu.Lock()
 		if s.storeDegraded != nil {
@@ -335,26 +338,13 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 		}
 	}
 
-	// an uncertain DeleteArray failure can leave the directory renamed
-	// to its tombstone while memory still serves the array: restore the
-	// authoritative (live) name before touching anything inside it
-	if _, err := os.Stat(st.dir); errors.Is(err, fs.ErrNotExist) {
-		tomb := st.dir + tombstoneSuffix
-		if _, terr := os.Stat(tomb); terr == nil {
-			if rerr := s.fs.Rename(tomb, st.dir); rerr != nil {
-				return rerr
-			}
-		}
-	}
-
 	if err := s.probeDir(st.dir); err != nil {
 		return err
 	}
 
-	// re-commit the authoritative in-memory metadata. This single write
-	// resolves every uncertain outcome the degrade recorded: a rename
-	// that secretly landed (disk ahead of memory — the phantom case), a
-	// rename that was lost, or a rewrite whose generation flipped in
+	// re-commit the authoritative in-memory metadata. This single record
+	// resolves every uncertain outcome the degrade recorded: a data sync
+	// whose pages may be lost, or a rewrite whose generation flipped in
 	// memory but never committed (commitGenLocked's divergence).
 	s.mu.RLock()
 	if s.closed {

@@ -32,9 +32,8 @@ import (
 // touched file plus one chunks-dir fsync shared by the whole batch,
 // validates each against the live state (generation unchanged, delta
 // bases still live), and publishes them all with a single metadata
-// commit — one record appended to the store-wide manifest log, or the
-// versions.json rename on legacy PerArrayCommit stores (commitMeta is
-// the seam between the two protocols).
+// commit — one record appended to the store-wide manifest log
+// (commitMeta).
 //
 // Nothing is installed into the live arrayState until that commit
 // succeeds: mutators build a staged arrayMeta and install it only after
@@ -296,7 +295,7 @@ type stagedInsert struct {
 
 	// tr is the staging request's trace (nil when untraced); the
 	// group-commit leader attributes the shared commit stages to it, so
-	// a traced insert sees the fsync/rename wait it actually rode.
+	// a traced insert sees the fsync/commit wait it actually rode.
 	tr *trace.Trace
 	// enqueuedAt marks when the insert entered the pending queue; zeroed
 	// once its queue_wait has been observed (re-drain rounds and the
@@ -352,7 +351,7 @@ func (s *Store) InsertCtx(ctx context.Context, name string, p Payload) (int, err
 // Concurrent durable inserts to the same array coalesce: whichever
 // insert reaches the commit point first becomes the group-commit leader
 // and publishes every insert staged behind it with one fsync schedule
-// and one metadata rename, so ingest throughput scales past the
+// and one metadata commit, so ingest throughput scales past the
 // single-commit fsync latency (see DESIGN.md "Write path & group
 // commit").
 func (s *Store) InsertBatch(name string, ps []Payload) ([]int, error) {
@@ -685,8 +684,8 @@ func (st *arrayState) drainPending() []*stagedInsert {
 
 // finalizeBatch is the metadata stage of the group commit: validate
 // every synced staged insert against the live state, commit the staged
-// document with a single metadata commit (a manifest-log record, or
-// the versions.json rename on legacy stores), and install it. The
+// document with a single metadata commit (a manifest-log record), and
+// install it. The
 // commit runs with Store.mu RELEASED — commitMu (held by the caller)
 // is the metadata writer latch, serializing it against every
 // other metadata writer on the array — so concurrent selects and the
@@ -748,8 +747,8 @@ func (s *Store) finalizeBatch(st *arrayState, batch []*stagedInsert, latched boo
 				ins.tr.Observe(StageMetaCommit, metaDur, 0)
 			}
 			if isUncertain(commitErr) {
-				// the rename (or its durability fsync) failed: the new
-				// document may be in place while memory rolls back
+				// the manifest append failed mid-write: the record may
+				// be durable while memory rolls back
 				s.noteCommitFailure(st, commitErr)
 			} else {
 				s.noteDiskPressure(commitErr) // benign unless ENOSPC
@@ -758,8 +757,7 @@ func (s *Store) finalizeBatch(st *arrayState, batch []*stagedInsert, latched boo
 		installStart := time.Now()
 		s.mu.Lock()
 		if commitErr == nil && s.arrays[st.Schema.Name] != st {
-			// DeleteArray won the race after our rename landed (or swept
-			// the directory first, failing the rename): either way the
+			// DeleteArray won the race after our record landed: the
 			// array is gone and the inserts with it
 			commitErr = fmt.Errorf("core: no array %q", st.Schema.Name)
 		}

@@ -55,7 +55,26 @@ func (f *failFS) Append(path string) (fsio.File, error) {
 	if f.hit("append", path) {
 		return nil, errInjected
 	}
-	return f.FS.Append(path)
+	file, err := f.FS.Append(path)
+	if err != nil {
+		return nil, err
+	}
+	return &failFile{File: file, fs: f, path: path}, nil
+}
+
+// failFile routes Writes to a file opened for append through the
+// failFS matcher as op "write".
+type failFile struct {
+	fsio.File
+	fs   *failFS
+	path string
+}
+
+func (fl *failFile) Write(p []byte) (int, error) {
+	if fl.fs.hit("write", fl.path) {
+		return 0, errInjected
+	}
+	return fl.File.Write(p)
 }
 
 func (f *failFS) Rename(oldPath, newPath string) error {
@@ -100,11 +119,8 @@ func assertStoreAgrees(t *testing.T, s *Store, name string, want map[int]*array.
 		}
 	}
 	check("live store", s)
-	// PerArrayCommit must carry over: a durable reopen of a legacy store
-	// would otherwise migrate it to the manifest behind the live store's
-	// back, and the live store's next commit would go unrecorded there.
 	r, err := Open(s.Dir(), Options{ChunkBytes: s.opts.ChunkBytes, CoLocate: s.opts.CoLocate,
-		Durability: true, PerArrayCommit: s.opts.PerArrayCommit})
+		Durability: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -116,19 +132,25 @@ func assertStoreAgrees(t *testing.T, s *Store, name string, want map[int]*array.
 
 // TestInsertMetaCommitFailureRollsBack is the phantom-version
 // regression: a commit fault injected under the insert's metadata
-// commit must leave the failed id unselectable, the in-memory state
-// identical to a durable reopen, the orphaned blobs reclaimed, and the
-// id reusable by the next insert. It pins the legacy per-array rename
-// protocol (PerArrayCommit); the manifest-mode analog lives in
-// manifest_test.go.
+// commit — the manifest-log append — must leave the failed id
+// unselectable, the in-memory state identical to a durable reopen, the
+// orphaned blobs reclaimed, and the id reusable by the next insert.
+// Failing to open the log is benign; a failed write leaves the record's
+// durability uncertain and must degrade until a heal.
 func TestInsertMetaCommitFailureRollsBack(t *testing.T) {
-	for _, fault := range []string{"create-tmp", "rename-meta"} {
-		t.Run(fault, func(t *testing.T) {
+	isLog := func(path string) bool {
+		base := filepath.Base(path)
+		return strings.HasPrefix(base, manifestPrefix) && strings.HasSuffix(base, ".log")
+	}
+	for _, fault := range []struct{ name, op string }{
+		{"append-open", "append"}, // benign: no byte of the record written
+		{"write", "write"},        // uncertain: the record may be partially durable
+	} {
+		t.Run(fault.name, func(t *testing.T) {
 			ffs := &failFS{FS: fsio.OS}
 			opts := smallOpts()
 			opts.ChunkBytes = 1 << 10
 			opts.Durability = true
-			opts.PerArrayCommit = true
 			opts.FS = ffs
 			opts.HealInterval = -1 // heal explicitly, not from the background prober
 			s := testStore(t, opts)
@@ -140,25 +162,16 @@ func TestInsertMetaCommitFailureRollsBack(t *testing.T) {
 			if _, err := s.Insert("A", DensePayload(v1)); err != nil {
 				t.Fatal(err)
 			}
-			switch fault {
-			case "create-tmp":
-				ffs.arm(func(op, path string) bool {
-					return op == "create" && strings.HasSuffix(path, metaFile+".tmp")
-				})
-			case "rename-meta":
-				ffs.arm(func(op, path string) bool {
-					return op == "rename" && strings.HasSuffix(path, metaFile)
-				})
-			}
+			ffs.arm(func(op, path string) bool { return op == fault.op && isLog(path) })
 			if _, err := s.Insert("A", DensePayload(crashContent(2, side))); !errors.Is(err, errInjected) {
 				t.Fatalf("insert under a meta-commit fault returned %v, want the injected failure", err)
 			}
-			if fault == "rename-meta" {
-				// a failed metadata rename leaves the on-disk effect
+			if fault.op == "write" {
+				// a failed log write leaves the on-disk effect
 				// uncertain: the array must be contained in degraded
 				// read-only mode until a heal verifies the disk
 				if h := s.Health(); !h.Degraded {
-					t.Fatal("array not degraded after an uncertain metadata rename failure")
+					t.Fatal("array not degraded after an uncertain manifest write failure")
 				}
 				if _, err := s.Insert("A", DensePayload(crashContent(9, side))); !errors.Is(err, ErrDegraded) {
 					t.Fatalf("insert while degraded returned %v, want ErrDegraded", err)

@@ -18,15 +18,9 @@ type MultiInsert struct {
 // InsertMulti inserts payload batches into several arrays under ONE
 // commit point: a single manifest record batch, appended and fsynced
 // once, makes every member durable together. Either every array shows
-// its new versions or none does — after a crash too, which the legacy
-// per-array commit protocol could not promise (each array committed on
-// its own rename, so a crash between renames split the batch). The
-// result maps each array name to the version ids its payloads were
-// assigned, in payload order.
-//
-// InsertMulti requires the store-wide manifest log; stores opened with
-// Options.PerArrayCommit (or legacy stores opened without Durability,
-// which are never migrated) return an error.
+// its new versions or none does, after a crash too. The result maps
+// each array name to the version ids its payloads were assigned, in
+// payload order.
 func (s *Store) InsertMulti(batches []MultiInsert) (map[string][]int, error) {
 	return s.InsertMultiCtx(context.Background(), batches)
 }
@@ -54,9 +48,6 @@ func (s *Store) InsertMultiCtx(ctx context.Context, batches []MultiInsert) (map[
 		}
 		byName[b.Array] = b.Payloads
 		names = append(names, b.Array)
-	}
-	if s.man == nil {
-		return nil, fmt.Errorf("core: InsertMulti requires the store-wide manifest log (the store uses the per-array commit protocol)")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

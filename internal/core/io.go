@@ -31,8 +31,7 @@ import (
 // Durability contract: with Options.Durability on, every append is
 // fsynced before writeBlob returns, and mutators sync the chunks
 // directory before committing metadata, so the metadata commit in
-// saveMeta — a manifest-log append, or the versions.json rename on
-// legacy stores — is the commit point: everything a committed version
+// saveMeta — a manifest-log append — is the commit point: everything a committed version
 // references is already durable, and anything past the last committed
 // frame in a file is garbage that recovery truncates.
 
@@ -82,6 +81,14 @@ func (s *Store) writeBlob(ctx *insertCtx, id int, attr, chunkKey string, blob []
 // error is always checked — a failed close after a buffered write is
 // silent data loss.
 func (s *Store) appendBlob(path string, format int, payload []byte, sync bool) (int64, error) {
+	buf := payload
+	if format == formatFramed {
+		framed, err := appendFrame(nil, payload)
+		if err != nil {
+			return 0, err
+		}
+		buf = framed
+	}
 	f, err := s.fs.Append(path)
 	if err != nil {
 		return 0, err
@@ -90,17 +97,6 @@ func (s *Store) appendBlob(path string, format int, payload []byte, sync bool) (
 	if err != nil {
 		_ = f.Close() // the size error is the failure; nothing was written
 		return 0, err
-	}
-	buf := payload
-	if format == formatFramed {
-		// the frame header stores the payload length as uint32; a payload
-		// it cannot represent would commit as a permanently unreadable
-		// frame, so refuse it up front (chunks are ~10 MB by design)
-		if int64(len(payload)) >= 1<<32 {
-			_ = f.Close() // nothing was written; the oversize payload is the failure
-			return 0, fmt.Errorf("core: chunk payload of %d bytes exceeds the frame format limit", len(payload))
-		}
-		buf = appendFrame(make([]byte, 0, frameLen(format, int64(len(payload)))), payload)
 	}
 	_, werr := f.Write(buf)
 	if werr == nil && sync && s.opts.Durability {

@@ -13,9 +13,9 @@ import (
 	"sync"
 )
 
-// The store-wide manifest log (on-disk commit protocol 2).
+// The store-wide manifest log — the store's only commit protocol.
 //
-// The PR 3 protocol gave every array its own commit point: a staged
+// Legacy stores gave every array its own commit point: a staged
 // versions.json renamed into place. That shape made cross-array
 // atomicity impossible by construction and charged every touched array
 // its own fsync pair. The manifest replaces the N per-array rename
@@ -46,8 +46,8 @@ import (
 // fsync, and InsertMulti commits a multi-array batch as one record
 // with all-or-nothing visibility.
 //
-// Failure handling mirrors saveMetaDoc's split: an append that fails
-// before any byte is written (open failure) is benign; a failed write,
+// Failure handling splits at the first written byte: an append that
+// fails before any byte is written (open failure) is benign; a failed write,
 // fsync, or close leaves the log tail uncertain, so the manifest is
 // poisoned — the whole store degrades read-only — until a heal
 // truncates the log back to the last known-good byte. A failed CURRENT
@@ -148,15 +148,10 @@ func manifestRotateAt(opts Options) int64 {
 	return defaultManifestRotateBytes
 }
 
-// commitMeta commits one array's staged metadata document. It is the
-// seam between the two commit protocols: per-array stores rename a
-// fresh versions.json into place (the PR 3 commit point), manifest
-// stores append one record to the store-wide log. Callers hold the
-// array's commitMu (the metadata writer latch) either way.
+// commitMeta commits one array's staged metadata document as one
+// record of the store-wide log. Callers hold the array's commitMu (the
+// metadata writer latch).
 func (s *Store) commitMeta(st *arrayState, m *arrayMeta) error {
-	if s.man == nil {
-		return s.saveMetaDoc(st.dir, m)
-	}
 	return s.man.commit([]manifestOp{{Name: st.Schema.Name, Meta: m}})
 }
 
@@ -217,13 +212,13 @@ func (man *manifest) appendLocked(batch []*manifestCommit) {
 	var buf []byte
 	for _, c := range batch {
 		man.nextSeq++
-		raw, err := json.Marshal(&manifestRecord{Seq: man.nextSeq, Ops: c.ops})
+		var err error
+		buf, err = appendJSONFrame(buf, &manifestRecord{Seq: man.nextSeq, Ops: c.ops})
 		if err != nil {
 			man.nextSeq = startSeq
 			finish(err)
 			return
 		}
-		buf = appendFrame(buf, raw)
 	}
 	logPath := filepath.Join(man.dir, manifestLogName(man.gen))
 	if man.lazyTrunc {
@@ -279,6 +274,15 @@ func (man *manifest) appendLocked(batch []*manifestCommit) {
 	}
 }
 
+// appendJSONFrame encodes v as JSON and appends it to dst as one frame.
+func appendJSONFrame(dst []byte, v any) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return dst, err
+	}
+	return appendFrame(dst, raw)
+}
+
 // poisonLocked marks the log tail uncertain and degrades the whole
 // store: every array shares this one commit point, so none of them can
 // safely commit until the heal repairs it. Callers hold man.mu.
@@ -306,7 +310,7 @@ func (man *manifest) rotateLocked() {
 	for _, n := range names {
 		snap.Arrays = append(snap.Arrays, manifestOp{Name: n, Meta: man.state[n]})
 	}
-	raw, err := json.Marshal(&snap)
+	raw, err := appendJSONFrame(nil, &snap)
 	if err != nil {
 		return
 	}
@@ -315,7 +319,7 @@ func (man *manifest) rotateLocked() {
 		_ = s.fs.Remove(filepath.Join(man.dir, manifestSnapName(newGen)))
 		_ = s.fs.Remove(filepath.Join(man.dir, manifestLogName(newGen)))
 	}
-	if err := man.writeFileSync(manifestSnapName(newGen), appendFrame(nil, raw)); err != nil {
+	if err := man.writeFileSync(manifestSnapName(newGen), raw); err != nil {
 		cleanup(err)
 		return
 	}
@@ -382,8 +386,8 @@ func (man *manifest) writeFileSync(name string, data []byte) error {
 
 // writeCurrent atomically points CURRENT at gen: tmp write (+fsync
 // under Durability), rename, parent sync. Failures through the tmp
-// close are benign; the rename onward is uncertain, exactly like
-// saveMetaDoc.
+// close are benign; from the rename on the new pointer may or may not
+// be in place, so those failures are uncertain.
 func (man *manifest) writeCurrent(gen int) error {
 	s := man.s
 	tmp := filepath.Join(man.dir, currentFile+".tmp")
@@ -440,7 +444,7 @@ func (man *manifest) heal() error {
 // --- open, replay, migration ---
 
 // readCurrent parses the CURRENT pointer; os.ErrNotExist means the
-// store is (still) per-array format.
+// store is (still) legacy format.
 func readCurrent(dir string) (int, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, currentFile))
 	if err != nil {
@@ -584,12 +588,12 @@ func openManifest(s *Store) (*manifest, error) {
 	return man, nil
 }
 
-// sweepRootLocked removes root-level crash debris on a durable open of
-// a manifest store: superseded or half-written MANIFEST generations,
-// CURRENT tmp files, legacy tombstones, and array directories the
-// replayed state does not reference (a crashed CreateArray that never
-// committed, a committed DeleteArray whose removal was interrupted, or
-// a pre-migration leftover).
+// sweepRootLocked removes root-level crash debris on a durable open:
+// superseded or half-written MANIFEST generations, CURRENT tmp files,
+// and array directories the replayed state does not reference (a
+// crashed CreateArray that never committed, a committed DeleteArray
+// whose removal was interrupted, or a migrated legacy store's
+// half-created directories and delete tombstones).
 func (man *manifest) sweepRootLocked() error {
 	s := man.s
 	entries, err := os.ReadDir(man.dir)
@@ -600,7 +604,7 @@ func (man *manifest) sweepRootLocked() error {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() {
-			if _, live := man.state[name]; live && !strings.HasSuffix(name, tombstoneSuffix) {
+			if _, live := man.state[name]; live {
 				continue
 			}
 			if err := s.fs.RemoveAll(filepath.Join(man.dir, name)); err != nil {
@@ -629,14 +633,13 @@ func (man *manifest) sweepRootLocked() error {
 //  2. create an empty MANIFEST-1.log
 //  3. sync the store root (both entries durable)
 //  4. write CURRENT — THE migration commit point
-//  5. remove each array's versions.json (+ tmp), best-effort
 //
 // A crash before 4 leaves a fully legacy store (the MANIFEST debris is
 // overwritten by the next attempt and invisible to non-durable opens);
-// a crash after 4 leaves a fully migrated store whose stray
-// versions.json files the next durable open sweeps. Reads are
-// byte-identical either way: the snapshot holds exactly the documents
-// the legacy scan loaded.
+// a crash after 4 leaves a fully migrated store. The now-dead
+// versions.json files are swept by the recovery that follows every
+// durable open (sweepDebris). Reads are byte-identical either way: the
+// snapshot holds exactly the documents the legacy scan loaded.
 func (s *Store) migrateToManifest() (*manifest, error) {
 	man := &manifest{
 		s:        s,
@@ -656,11 +659,11 @@ func (s *Store) migrateToManifest() (*manifest, error) {
 		man.state[n] = &m
 		snap.Arrays = append(snap.Arrays, manifestOp{Name: n, Meta: &m})
 	}
-	raw, err := json.Marshal(&snap)
+	raw, err := appendJSONFrame(nil, &snap)
 	if err != nil {
 		return nil, err
 	}
-	if err := man.writeFileSync(manifestSnapName(1), appendFrame(nil, raw)); err != nil {
+	if err := man.writeFileSync(manifestSnapName(1), raw); err != nil {
 		return nil, err
 	}
 	if err := man.writeFileSync(manifestLogName(1), nil); err != nil {
@@ -673,15 +676,6 @@ func (s *Store) migrateToManifest() (*manifest, error) {
 	}
 	if err := man.writeCurrent(1); err != nil {
 		return nil, err
-	}
-	// migrated: the per-array metadata files are now dead weight. A
-	// failed removal is harmless — the next durable open sweeps strays.
-	for _, n := range names {
-		dir := filepath.Join(s.dir, n)
-		if err := s.fs.Remove(filepath.Join(dir, metaFile)); err == nil {
-			s.recovery.RemovedFiles++
-		}
-		_ = s.fs.Remove(filepath.Join(dir, metaFile+".tmp"))
 	}
 	return man, nil
 }
@@ -711,8 +705,9 @@ func (s *Store) addManifestRotation() {
 // crash debris a durable open would sweep; Problems are real
 // corruption.
 type ManifestReport struct {
-	// Enabled reports whether the store uses the manifest commit
-	// protocol at all (false for legacy per-array stores).
+	// Enabled reports whether the store has a manifest at all (false
+	// for a legacy store opened without Durability, which is never
+	// migrated).
 	Enabled bool `json:"enabled"`
 	// Gen is the live generation CURRENT points at.
 	Gen int `json:"gen"`
@@ -728,7 +723,7 @@ type ManifestReport struct {
 	// final append — repaired, not a problem).
 	TornBytes int64 `json:"tornBytes"`
 	// StrayFiles lists crash debris: superseded MANIFEST generations,
-	// CURRENT tmp files, and leftover per-array versions.json files.
+	// CURRENT tmp files, and leftover legacy versions.json files.
 	StrayFiles []string `json:"strayFiles,omitempty"`
 	// Problems lists integrity violations: bad checksums mid-chain,
 	// sequence gaps, undecodable documents, or committed arrays whose

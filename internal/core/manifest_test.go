@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -21,13 +23,14 @@ import (
 // a crash leaves the store either fully legacy or fully migrated, with
 // byte-identical reads either way).
 
-// buildLegacyStore writes a store in the PR 3 per-array commit format
-// (one versions.json per array) and returns the expected contents.
+// buildLegacyStore writes a legacy store — one versions.json per
+// array, no manifest — and returns the expected contents. New stores
+// are always born manifest-format, so it builds one and downgrades it
+// with downgradeToLegacy.
 func buildLegacyStore(t *testing.T, dir string, side int64) map[string][]*array.Dense {
 	t.Helper()
 	opts := smallOpts()
 	opts.ChunkBytes = 1 << 10
-	opts.PerArrayCommit = true
 	opts.Durability = true
 	s, err := Open(dir, opts)
 	if err != nil {
@@ -49,8 +52,9 @@ func buildLegacyStore(t *testing.T, dir string, side int64) map[string][]*array.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.man != nil {
-		t.Fatal("PerArrayCommit store grew a manifest")
+	downgradeToLegacy(t, dir)
+	if _, err := os.Stat(filepath.Join(dir, currentFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("downgraded store still has %s (err=%v)", currentFile, err)
 	}
 	for name := range want {
 		if _, err := os.Stat(filepath.Join(dir, name, metaFile)); err != nil {
@@ -58,6 +62,40 @@ func buildLegacyStore(t *testing.T, dir string, side int64) map[string][]*array.
 		}
 	}
 	return want
+}
+
+// downgradeToLegacy rewrites a closed manifest store in the legacy
+// layout: every replayed arrayMeta becomes its array's versions.json,
+// and CURRENT and the MANIFEST-* files are deleted.
+func downgradeToLegacy(t *testing.T, dir string) {
+	t.Helper()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, doc := range s.man.state {
+		raw, err := json.MarshalIndent(doc, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name, metaFile), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() == currentFile || strings.HasPrefix(e.Name(), manifestPrefix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // checkContents asserts every expected version reads back
@@ -282,23 +320,6 @@ func TestInsertMultiBasic(t *testing.T) {
 	}
 }
 
-// TestInsertMultiRequiresManifest pins the legacy-mode error: a store
-// on the per-array commit protocol cannot offer cross-array atomicity
-// and must say so instead of faking it.
-func TestInsertMultiRequiresManifest(t *testing.T) {
-	const side = 8
-	opts := smallOpts()
-	opts.PerArrayCommit = true
-	s := testStore(t, opts)
-	if err := s.CreateArray(schema2D("L", side)); err != nil {
-		t.Fatal(err)
-	}
-	_, err := s.InsertMulti([]MultiInsert{{Array: "L", Payloads: []Payload{DensePayload(crashContent(1, side))}}})
-	if err == nil {
-		t.Fatal("InsertMulti succeeded on a per-array-commit store")
-	}
-}
-
 // manifestWriteFaultFS wraps a base FS and, while armed, fails the
 // Write of any file opened for append under a MANIFEST-*.log name —
 // the one failure mode that is genuinely uncertain (the record may be
@@ -412,9 +433,8 @@ func TestManifestAppendFailureDegradesAndHeals(t *testing.T) {
 	}
 }
 
-// TestLegacyMigration pins the in-place upgrade: a per-array store
-// opened durably (without PerArrayCommit) migrates to the manifest on
-// open, reads stay byte-identical, the per-array versions.json files
+// TestLegacyMigration pins the in-place upgrade: a legacy per-array
+// store opened durably migrates to the manifest on open, reads stay byte-identical, the per-array versions.json files
 // are gone, and the migrated store keeps working and deep-verifies.
 func TestLegacyMigration(t *testing.T) {
 	const side = 8
@@ -529,9 +549,8 @@ func TestMigrationCrashMatrix(t *testing.T) {
 		fopts := opts
 		fopts.FS = fault
 		if _, err := Open(dir, fopts); err == nil {
-			// the crash may land after the commit point, in the benign
-			// legacy-file cleanup whose errors migration swallows; the
-			// open then succeeds on a fully migrated store
+			// an open may only succeed if the crash landed in a step
+			// whose failure it tolerates; the store is then migrated
 			if !fault.Crashed() {
 				t.Fatalf("step %d/%d: crash never fired", n, total)
 			}
@@ -609,8 +628,8 @@ func TestMigrationTransientFaults(t *testing.T) {
 		fopts.FS = flaky
 		s, err := Open(dir, fopts)
 		if err == nil {
-			// the fault landed in a step whose failure migration
-			// tolerates (benign cleanup); the store must be whole
+			// the fault landed in a step whose failure the open
+			// tolerates; the store must be whole
 			if flaky.Injected() == 0 {
 				t.Fatalf("step %d/%d: fault never fired", n, total)
 			}
@@ -635,4 +654,165 @@ func TestMigrationTransientFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// treeBytes maps every path under dir to its contents ("" for
+// directories).
+func treeBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out[rel] = ""
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		out[rel] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestLegacyStoreImportOnly pins the rule that a store without a
+// manifest is never written: a non-durable open of a legacy store
+// serves byte-identical reads, refuses every mutation with ErrDegraded,
+// and leaves every file untouched; a durable open then migrates it and
+// accepts writes.
+func TestLegacyStoreImportOnly(t *testing.T) {
+	const side = 8
+	dir := t.TempDir()
+	want := buildLegacyStore(t, dir, side)
+	before := treeBytes(t, dir)
+
+	ro, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkContents(t, ro, want, "import-only")
+	payload := DensePayload(crashContent(50, side))
+	mutations := map[string]func() error{
+		"CreateArray": func() error { return ro.CreateArray(schema2D("New", side)) },
+		"Insert":      func() error { _, err := ro.Insert("LegA", payload); return err },
+		"InsertMulti": func() error {
+			_, err := ro.InsertMulti([]MultiInsert{
+				{Array: "LegA", Payloads: []Payload{payload}},
+				{Array: "LegB", Payloads: []Payload{payload}},
+			})
+			return err
+		},
+		"DeleteVersion": func() error { return ro.DeleteVersion("LegA", 1) },
+		"DeleteArray":   func() error { return ro.DeleteArray("LegB") },
+		"Reorganize":    func() error { return ro.Reorganize("LegA", ReorganizeOptions{Policy: PolicyOptimal}) },
+		"Compact":       func() error { return ro.Compact("LegA") },
+	}
+	for op, mutate := range mutations {
+		if err := mutate(); !errors.Is(err, ErrDegraded) {
+			t.Fatalf("%s on an import-only legacy store returned %v, want ErrDegraded", op, err)
+		}
+	}
+	checkContents(t, ro, want, "import-only after refused writes")
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := treeBytes(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("non-durable open of a legacy store changed its files")
+	}
+
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkContents(t, s, want, "migrated")
+	if _, err := s.InsertMulti([]MultiInsert{
+		{Array: "LegA", Payloads: []Payload{payload}},
+		{Array: "LegB", Payloads: []Payload{payload}},
+	}); err != nil {
+		t.Fatalf("InsertMulti after a durable open migrated the store: %v", err)
+	}
+	if err := s.CreateArray(schema2D("New", side)); err != nil {
+		t.Fatalf("CreateArray after migration: %v", err)
+	}
+}
+
+// TestLegacyCrashDebrisRecoveredThroughManifest durably opens a legacy
+// store left behind by a crash: a chunk file lost its tail, a
+// DeleteArray committed its tombstone rename but not the removal, and
+// a CreateArray never wrote its versions.json. Migration imports only
+// the live arrays, the root sweep removes the tombstone and the
+// half-created directory, and recovery drops the damaged version with a
+// manifest record — never by rewriting versions.json — so a reopen
+// agrees.
+func TestLegacyCrashDebrisRecoveredThroughManifest(t *testing.T) {
+	const side = 8
+	dir := t.TempDir()
+	want := buildLegacyStore(t, dir, side)
+	// every version appends one frame to LegA's single chain file, so
+	// cutting its last byte damages exactly the newest version
+	chunks := filepath.Join(dir, "LegA", chunksDirName(0))
+	entries, err := os.ReadDir(chunks)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("LegA chunk files: %v (err=%v), want one chain file", entries, err)
+	}
+	chain := filepath.Join(chunks, entries[0].Name())
+	info, err := os.Stat(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(chain, info.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, "LegB"), filepath.Join(dir, "LegB.deleting")); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, "LegB")
+	if err := os.MkdirAll(filepath.Join(dir, "Half", chunksDirName(0)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	want["LegA"] = want["LegA"][:2]
+
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Recovery().DroppedVersions; got != 1 {
+		t.Fatalf("recovery dropped %d versions, want the one torn version", got)
+	}
+	if got := s.Stats().ManifestRecords; got != 1 {
+		t.Fatalf("recovery committed %d manifest records, want one for the dropped version", got)
+	}
+	checkContents(t, s, want, "recovered")
+	if got := s.ListArrays(); !reflect.DeepEqual(got, []string{"LegA"}) {
+		t.Fatalf("migrated arrays %v, want [LegA]", got)
+	}
+	for _, debris := range []string{"LegB.deleting", "Half", filepath.Join("LegA", metaFile)} {
+		if _, err := os.Stat(filepath.Join(dir, debris)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("durable open left %s behind (err=%v)", debris, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.Recovery().DroppedVersions; got != 0 {
+		t.Fatalf("reopen dropped %d more versions", got)
+	}
+	checkContents(t, r, want, "reopened")
 }

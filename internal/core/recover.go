@@ -9,13 +9,12 @@ import (
 
 // Open-time crash recovery (Options.Durability). The commit protocol
 // (see commitMeta) guarantees that the committed metadata — a fsynced
-// manifest record, or the renamed versions.json on legacy stores —
-// only references payloads that were fsynced before the commit, so
-// after a crash the committed state is intact and everything else on
-// disk is debris from the interrupted mutation:
+// manifest record — only references payloads that were fsynced before
+// the commit, so after a crash the committed state is intact and
+// everything else on disk is debris from the interrupted mutation:
 //
-//   - a metadata tmp file that never got renamed (legacy stores), or a
-//     stale versions.json superseded by the manifest (migrated stores);
+//   - a legacy versions.json (or its tmp file) that migration to the
+//     manifest superseded;
 //   - a chunk generation that never got committed (either a *.build
 //     directory or a fully renamed one whose metadata commit was lost);
 //   - chunk files created by an uncommitted insert (orphans);
@@ -59,8 +58,8 @@ func (s *Store) recoverArray(st *arrayState) error {
 	return nil
 }
 
-// sweepDebris removes commit leftovers in the array directory: the
-// metadata tmp file, heal probe scratch, generation build directories,
+// sweepDebris removes commit leftovers in the array directory: legacy
+// metadata files, heal probe scratch, generation build directories,
 // and chunk generations other than the committed one. What it swept is
 // recorded into rs (Open-time recovery passes &s.recovery; the runtime
 // heal pass keeps its own local counts).
@@ -72,13 +71,8 @@ func (s *Store) sweepDebris(st *arrayState, rs *RecoveryStats) error {
 	committed := chunksDirName(st.Gen)
 	for _, e := range entries {
 		name := e.Name()
-		stale := name == metaFile+".tmp" || name == healProbeFile ||
+		stale := name == metaFile || name == metaFile+".tmp" || name == healProbeFile ||
 			(strings.HasPrefix(name, "chunks") && name != committed)
-		// on manifest stores the per-array versions.json is dead weight:
-		// either migration debris or a leftover a pre-migration binary wrote
-		if s.man != nil && name == metaFile {
-			stale = true
-		}
 		if !stale {
 			continue
 		}

@@ -644,8 +644,7 @@ func (s *Store) commitRewriteLocked(st *arrayState, buildDir string, ids []int, 
 //     payloads are now durable but unreferenced;
 //  2. stage the new metadata (generation number, framed format, the
 //     entries the apply callback installs) and commit it with saveMeta —
-//     a manifest-log record, or the atomic versions.json rename on
-//     legacy stores — this is the commit point;
+//     a manifest-log record — this is the commit point;
 //  3. remove the old generation under the exclusive I/O latch, waiting
 //     out in-flight readers whose snapshots pinned it.
 //
@@ -780,7 +779,7 @@ func (s *Store) syncDirFiles(dir string) error {
 //
 // Like the insert path, the deletion is staged: the re-encoded chunk
 // maps and the deletion flag are built on cloned versionMeta records in
-// a staged arrayMeta, committed with one metadata rename, and installed
+// a staged arrayMeta, committed with one manifest record, and installed
 // into the live state only on success — a failed commit leaves memory
 // and disk agreeing that the version is still live, and sweeps the
 // re-encode's appended blobs. The write latch is held because the

@@ -72,7 +72,6 @@ func TestVerifyDetectsDanglingAfterDelete(t *testing.T) {
 func TestVerifyDetectsCorruptMetadata(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts()
-	opts.PerArrayCommit = true // sabotages versions.json directly
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +84,12 @@ func TestVerifyDetectsCorruptMetadata(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// sabotage the metadata: point version 3's chunks at version 99
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// sabotage the metadata in its legacy form, versions.json: point
+	// version 3's chunks at version 99
+	downgradeToLegacy(t, dir)
 	metaPath := filepath.Join(dir, "VC", metaFile)
 	raw, err := os.ReadFile(metaPath)
 	if err != nil {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	avbench [-experiment all|table1|table2|table3|table4|table5|table6|table7|materialization|workload|ablations|hotpath|server|adaptive|ingest|tracing|manifest]
+//	avbench [-experiment all|table1|table2|table3|table4|table5|table6|table7|materialization|workload|ablations|hotpath|server|adaptive|ingest|tracing|manifest|history]
 //	        [-scale default|quick] [-workdir DIR]
 //	        [-parallelism N] [-cache-bytes N] [-json-dir DIR]
 //
@@ -32,7 +32,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "all, table1..table7, materialization, workload, ablations, hotpath, server, adaptive, ingest, tracing, or manifest")
+	experiment := flag.String("experiment", "all", "all, table1..table7, materialization, workload, ablations, hotpath, server, adaptive, ingest, tracing, manifest, or history")
 	scaleName := flag.String("scale", "default", "scale preset: default or quick")
 	workdir := flag.String("workdir", "", "scratch directory (default: a temp dir)")
 	parallelism := flag.Int("parallelism", 0, "hot-path worker pool size (0 = GOMAXPROCS, 1 = serial)")
@@ -121,6 +121,16 @@ func main() {
 		}
 	}
 
+	history := func() {
+		t, results, err := bench.History(dir, sc, *parallelism, *cacheBytes)
+		emit(t, err)
+		if *jsonDir != "" {
+			if err := writeJSON(filepath.Join(*jsonDir, "BENCH_history.json"), results); err != nil {
+				fatal(err)
+			}
+		}
+	}
+
 	run := func(name string) {
 		switch name {
 		case "hotpath":
@@ -135,6 +145,8 @@ func main() {
 			tracing()
 		case "manifest":
 			manifest()
+		case "history":
+			history()
 		case "table1":
 			t, err := bench.Table1(sc)
 			emit(t, err)
@@ -198,6 +210,7 @@ func main() {
 		ingest()
 		tracing()
 		manifest()
+		history()
 		return
 	}
 	run(*experiment)

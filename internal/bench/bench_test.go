@@ -325,3 +325,21 @@ func TestIngestConfigShape(t *testing.T) {
 		t.Fatalf("per-insert mode coalesced: %d commits for 6 inserts", res.GroupCommits)
 	}
 }
+
+func TestHistoryShape(t *testing.T) {
+	sum, err := runHistory(t.TempDir(), 32, 1<<10, []int{2, 8}, 3, 1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Points) != 2 || sum.ChunksPerVersion != 4 {
+		t.Fatalf("history summary shape: %+v", sum)
+	}
+	first, last := sum.Points[0], sum.Points[1]
+	if last.Versions != 8 || last.Inserts != 3 || last.InsertP50Ns <= 0 || last.StageEncodeP50Ns <= 0 || last.ManifestRecordBytes <= 0 {
+		t.Fatalf("history point shape: %+v", last)
+	}
+	// the CI gate: with a cache, chunk reads per insert do not grow
+	if last.ChunksReadPerInsert > first.ChunksReadPerInsert {
+		t.Fatalf("chunk reads per insert grew with history: %v -> %v", first.ChunksReadPerInsert, last.ChunksReadPerInsert)
+	}
+}

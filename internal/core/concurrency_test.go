@@ -108,6 +108,22 @@ func TestConcurrentSelectInsertReorganize(t *testing.T) {
 	}
 }
 
+// reopenCold closes s and reopens its directory with the same options.
+// Inserts publish their chunks write-through, so a test that needs a
+// cold chunk cache after inserting starts from a reopened store.
+func reopenCold(t *testing.T, s *Store) *Store {
+	t.Helper()
+	dir, opts := s.Dir(), s.opts
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestCacheServesRepeatedSelects checks that a second select of the same
 // version is served from the store cache without touching disk.
 func TestCacheServesRepeatedSelects(t *testing.T) {
@@ -121,6 +137,8 @@ func TestCacheServesRepeatedSelects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s = reopenCold(t, s)
+	defer s.Close()
 	s.ResetStats()
 	if _, err := s.Select("H", 4); err != nil {
 		t.Fatal(err)

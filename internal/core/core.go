@@ -329,6 +329,11 @@ type IOStats struct {
 	ChunksRead    int64
 	ChunksWritten int64
 
+	// CacheHits/CacheMisses count decoded-chunk LRU lookups by selects
+	// and by insert staging: an insert resolving a committed delta base
+	// looks it up like a select does (ids the insert itself staged
+	// never touch the cache). Write-through puts of newly committed
+	// chunks are neither hits nor misses.
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64

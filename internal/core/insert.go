@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"arrayvers/internal/array"
+	"arrayvers/internal/cache"
 	"arrayvers/internal/compress"
 	"arrayvers/internal/delta"
 	"arrayvers/internal/layout"
@@ -121,9 +122,10 @@ func DeltaListPayload(base int, updates []CellUpdate) Payload {
 // chunk directory and format of the generation it pinned, the
 // representation it encodes with, the write-set recording its appends,
 // and a per-stage chunk memo so repeated base reads walk each delta
-// chain once. Cache puts through ctx.v are always suppressed (noCache):
-// staged version ids are not committed and must never become visible
-// through the store-wide LRU.
+// chain once. Reads through ctx.v follow the view's per-id cache rule:
+// committed bases read and fill the store-wide LRU, while the ids this
+// staging reserved (readView.stagedFrom) never touch it — they are not
+// committed, and a failed commit may hand them to different content.
 type insertCtx struct {
 	st     *arrayState
 	v      *readView
@@ -133,6 +135,21 @@ type insertCtx struct {
 	format int
 	sparse bool
 	goCtx  context.Context // caller's cancellation; nil means Background
+
+	// keepPlanes asks encodePlane to collect the private dense chunk
+	// copies it encodes into planes, for write-through into the LRU
+	// once the commit lands (publishLocked). Set on stores with a cache.
+	keepPlanes bool
+	planes     []chunkPlane
+}
+
+// chunkPlane is the content of one dense chunk of a staged version,
+// kept from encoding until its commit publishes it write-through.
+type chunkPlane struct {
+	id    int
+	attr  string
+	chunk string
+	d     *array.Dense
 }
 
 // context returns the caller's context, defaulting to Background for
@@ -292,6 +309,9 @@ type stagedInsert struct {
 	gen    int // chunk generation the blobs were appended into
 	format int
 	ws     *writeSet
+	// planes are the staged dense chunks, published write-through to
+	// the LRU only if the commit installs them
+	planes []chunkPlane
 
 	// tr is the staging request's trace (nil when untraced); the
 	// group-commit leader attributes the shared commit stages to it, so
@@ -494,7 +514,6 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		return nil, fmt.Errorf("core: no array %q", name)
 	}
 	v := s.viewLocked(st, true)
-	v.noCache = true
 	repFixed := len(st.Versions) > 0
 	sparse, fill := st.SparseRep, st.Fill
 	st.pendMu.Lock()
@@ -509,6 +528,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	}
 	baseID := st.stageNext
 	st.stageNext += len(ps)
+	v.stagedFrom = baseID
 	if !repFixed && len(st.pending) > 0 {
 		// an uncommitted first insert already fixed the representation;
 		// encode consistently with it (the commit re-validates)
@@ -535,7 +555,8 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		tr:     trace.FromContext(ctx),
 		done:   make(chan struct{}),
 	}
-	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.dir, format: format, sparse: sparse, goCtx: ctx}
+	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.dir, format: format, sparse: sparse, goCtx: ctx,
+		keepPlanes: s.chunkCache != nil}
 	fail := func(err error) (*stagedInsert, error) {
 		ins.ws.sweep(s)
 		unreserve()
@@ -557,6 +578,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	s.prof.observeCommit(StageStageEncode, encDur, ins.ws.totalBytes())
 	ins.tr.Observe(StageStageEncode, encDur, ins.ws.totalBytes())
 	ins.sparse, ins.fill = sparse, fill
+	ins.planes = ictx.planes
 	return ins, nil
 }
 
@@ -771,6 +793,7 @@ func (s *Store) finalizeBatch(st *arrayState, batch []*stagedInsert, latched boo
 					ids[i] = vm.ID
 				}
 				ins.ids = ids
+				s.publishLocked(st, ins.planes)
 			}
 		}
 		s.mu.Unlock()
@@ -795,6 +818,22 @@ func (s *Store) finalizeBatch(st *arrayState, batch []*stagedInsert, latched boo
 	}
 	for _, ins := range batch {
 		close(ins.done)
+	}
+}
+
+// publishLocked writes a committed insert's staged dense chunks through
+// to the LRU under the array's current epoch, so the next insert's delta
+// base and a select of the newest version are cache hits instead of a
+// chain walk from disk. Callers hold Store.mu exclusively and call it in
+// the critical section that installed the versions, so no DeleteVersion,
+// Reorganize or DeleteArray can slip between install and publish. Failed
+// and retried inserts never get here; sparse inserts collect no planes
+// (the payload belongs to the caller).
+func (s *Store) publishLocked(st *arrayState, planes []chunkPlane) {
+	name := st.Schema.Name
+	epoch := s.epochs[name]
+	for _, p := range planes {
+		s.chunkCache.Put(cache.Key{Array: name, Epoch: epoch, Version: p.id, Attr: p.attr, Chunk: p.chunk}, p.d)
 	}
 }
 
@@ -1060,6 +1099,7 @@ func (s *Store) insertBatchLocked(st *arrayState, ps []Payload, kind string) ([]
 	s.prof.observeCommit(StageMetaCommit, time.Since(t0), 0)
 	st.mutateLocked()
 	st.installMeta(*sb.staged)
+	s.publishLocked(st, sb.planes)
 	s.addGroupCommit(len(sb.ids))
 	s.prof.batchSize.Observe(float64(len(sb.ids)))
 	return sb.ids, nil
@@ -1075,6 +1115,7 @@ type stagedBatch struct {
 	ws     *writeSet
 	ids    []int
 	dir    string
+	planes []chunkPlane // for write-through once installed
 }
 
 // stageBatchLocked stages ps into a cloned metadata document without
@@ -1083,12 +1124,13 @@ type stagedBatch struct {
 // already been swept.
 func (s *Store) stageBatchLocked(st *arrayState, ps []Payload, kind string) (*stagedBatch, error) {
 	staged := st.metaClone()
-	v := s.viewOfMeta(st, &staged)
+	v := s.viewOfMeta(st, &staged, staged.NextID)
 	ws := newWriteSet()
 	qc := newChunkCache()
 	sparse, fill := staged.SparseRep, staged.Fill
 	repFixed := len(staged.Versions) > 0
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, format: staged.Format, sparse: sparse}
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, format: staged.Format, sparse: sparse,
+		keepPlanes: s.chunkCache != nil}
 	fail := func(err error) (*stagedBatch, error) {
 		ws.sweep(s)
 		s.noteDiskPressure(err)
@@ -1109,7 +1151,7 @@ func (s *Store) stageBatchLocked(st *arrayState, ps []Payload, kind string) (*st
 			return fail(err)
 		}
 	}
-	return &stagedBatch{st: st, staged: &staged, ws: ws, ids: ids, dir: ctx.dir}, nil
+	return &stagedBatch{st: st, staged: &staged, ws: ws, ids: ids, dir: ctx.dir, planes: ctx.planes}, nil
 }
 
 // batchReencodeStaged implements §IV-E's batched update heuristic on a
@@ -1136,7 +1178,11 @@ func (s *Store) batchReencodeStaged(st *arrayState, staged *arrayMeta, ws *write
 		return nil
 	}
 	batch := live[len(live)-k:]
-	v := s.viewOfMeta(st, staged)
+	// a bulk load of the whole batch, and on the group-commit path the
+	// staged members need not sit above every committed id, so no
+	// single stagedFrom bound separates them: bypass the LRU entirely
+	v := s.viewOfMeta(st, staged, 0)
+	v.noCache = true
 	ictx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, format: staged.Format, sparse: staged.SparseRep}
 	// load batch contents; re-encodes only ever append (chain files grow
 	// at the tail, per-version files get fresh FileSeq names), so
@@ -1377,6 +1423,7 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 	v := ctx.v
 	origins := ck.All()
 	results := make([]chunkEntry, len(origins))
+	targets := make([]*array.Dense, len(origins))
 	keys := make([]string, len(origins))
 	for i, origin := range origins {
 		keys[i] = ck.Key(origin)
@@ -1386,10 +1433,13 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 		origin := origins[i]
 		box := ck.Box(origin)
 		key := keys[i]
+		// Slice copies: target is private to this staging, so it can be
+		// published write-through without aliasing the caller's plane
 		target, err := pl.Dense.Slice(box)
 		if err != nil {
 			return err
 		}
+		targets[i] = target
 		payload := target.Bytes()
 		entryBase := -1
 		rawDense := true
@@ -1425,6 +1475,9 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 	}
 	for i, key := range keys {
 		entries[key] = results[i]
+		if ctx.keepPlanes {
+			ctx.planes = append(ctx.planes, chunkPlane{id: id, attr: attr.Name, chunk: key, d: targets[i]})
+		}
 	}
 	return entries, nil
 }

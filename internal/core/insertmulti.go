@@ -165,6 +165,7 @@ func (s *Store) InsertMultiCtx(ctx context.Context, batches []MultiInsert) (map[
 	for _, sb := range staged {
 		sb.st.mutateLocked()
 		sb.st.installMeta(*sb.staged)
+		s.publishLocked(sb.st, sb.planes)
 		out[sb.st.Schema.Name] = sb.ids
 		total += len(sb.ids)
 	}

@@ -129,6 +129,7 @@ func TestMmapReadPathCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s = reopenCold(t, s)
 	s.ResetStats()
 	for i, want := range versions {
 		got, err := s.Select("MM", i+1)
@@ -204,7 +205,7 @@ func TestCompactDefersUnlinkPastCachedPlanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer func() { s.Close() }()
 	if err := s.CreateArray(schema2D("CD", 64)); err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +215,9 @@ func TestCompactDefersUnlinkPastCachedPlanes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// the inserts published heap copies write-through; start cold so
+	// the selects below cache mmap-backed planes
+	s = reopenCold(t, s)
 	// populate the cache with mmap-backed planes of the current generation
 	for i := range versions {
 		if _, err := s.Select("CD", i+1); err != nil {

@@ -808,7 +808,7 @@ func (s *Store) DeleteVersion(name string, id int) error {
 		return err
 	}
 	staged := st.metaClone()
-	v := s.viewOfMeta(st, &staged)
+	v := s.viewOfMeta(st, &staged, 0)
 	ws := newWriteSet()
 	qc := newChunkCache()
 	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, format: staged.Format, sparse: staged.SparseRep}

@@ -341,9 +341,10 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 // its delta chain: "a chain of versions must be accessed, starting from
 // one that is stored in native form" (§II-B, Fig. 2). local memoizes
 // chunk contents per version within one walk; the store-wide cache is
-// consulted at every link, and every version materialized while the
-// chain unwinds is inserted into it. Cached arrays are shared across
-// queries and must never be mutated.
+// consulted at every link the view may cache (readView.cached), and
+// every such version materialized while the chain unwinds is inserted
+// into it. Cached arrays are shared across queries and must never be
+// mutated.
 func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Chunker, origin []int64, local map[int]*array.Dense, tk *opTracker) (*array.Dense, error) {
 	if local == nil {
 		local = make(map[int]*array.Dense)
@@ -354,7 +355,8 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 	st := v.st
 	key := ck.Key(origin)
 	ckey := cache.Key{Array: st.Schema.Name, Epoch: v.epoch, Version: id, Attr: attr, Chunk: key}
-	if !v.noCache {
+	useCache := v.cached(id)
+	if useCache {
 		t0 := time.Now()
 		got, ok := s.chunkCache.Get(ckey)
 		tk.observe(StageCache, time.Since(t0), 0)
@@ -396,13 +398,13 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 	// read transiently under the I/O latch, and a materialized root built
 	// over mapping bytes is admitted to the cache as a zero-copy plane
 	// holding a counted mapping ref. The one aliasing case that must not
-	// escape is a no-cache view's root plane (bulk loads hand planes to
-	// callers that outlive this query's latch), which gets a private copy.
+	// escape is an uncached root plane (bulk loads hand planes to callers
+	// that outlive this query's latch), which gets a private copy.
 	var raw []byte
-	zeroCopy := ms != nil && compress.Codec(e.Codec) == compress.None && e.Base < 0 && !v.noCache
+	zeroCopy := ms != nil && compress.Codec(e.Codec) == compress.None && e.Base < 0 && useCache
 	if compress.Codec(e.Codec) == compress.None {
 		raw = blob
-		if ms != nil && e.Base < 0 && v.noCache {
+		if ms != nil && e.Base < 0 && !useCache {
 			raw = append([]byte(nil), blob...)
 		}
 	} else {
@@ -433,7 +435,7 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 	}
 	tk.attr("chunks_decoded", 1)
 	local[id] = out
-	if !v.noCache {
+	if useCache {
 		if zeroCopy {
 			if ms.acquire() {
 				if s.chunkCache.Put(ckey, &mmapDense{Dense: out, set: ms}) {
@@ -468,7 +470,8 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 	}
 	st := v.st
 	ckey := cache.Key{Array: st.Schema.Name, Epoch: v.epoch, Version: id, Attr: attr, Chunk: "chunk-full"}
-	if !v.noCache {
+	useCache := v.cached(id)
+	if useCache {
 		t0 := time.Now()
 		got, ok := s.chunkCache.Get(ckey)
 		tk.observe(StageCache, time.Since(t0), 0)
@@ -531,7 +534,7 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 	}
 	tk.attr("chunks_decoded", 1)
 	shared := false
-	if !v.noCache {
+	if useCache {
 		shared = s.chunkCache.Put(ckey, out)
 	}
 	local[id] = sparseRes{sp: out, shared: shared}

@@ -39,6 +39,13 @@ type readView struct {
 	// clients' hot working set and skew the hit-rate counters; they
 	// memoize within the scan (chunkCache) instead.
 	noCache bool
+	// stagedFrom, when positive, is the first version id the staging
+	// mutation reading through this view reserved. Ids at or above it
+	// are staged, not committed: their reads never touch the LRU, since
+	// a failed commit hands the id back and the next insert may reuse
+	// it for different content. Ids below it are committed, and their
+	// reads consult and fill the LRU under epoch like any select's.
+	stagedFrom int
 	// byID holds cloned live version metadata; nil means "reading under
 	// the store lock, use st directly".
 	byID map[int]*versionMeta
@@ -132,16 +139,18 @@ func (s *Store) snapshotUncached(name string) (*readView, func(), error) {
 // viewOfMeta builds a readView over a staged metadata document: reads
 // resolve against the staged version set and the generation it names.
 // Staged versions' payloads are already on disk (appends precede the
-// commit), so the view can decode them before the install. Cache puts
-// are suppressed: staged version ids are not committed yet and must
-// never become visible through the store-wide LRU.
-func (s *Store) viewOfMeta(st *arrayState, m *arrayMeta) *readView {
+// commit), so the view can decode them before the install. Ids at or
+// above stagedFrom (0: none) are the staging's own reservations and
+// bypass the LRU; committed ids read through it under the array's
+// current epoch. Callers hold Store.mu.
+func (s *Store) viewOfMeta(st *arrayState, m *arrayMeta, stagedFrom int) *readView {
 	v := &readView{
-		st:      st,
-		dir:     filepath.Join(st.dir, chunksDirName(m.Gen)),
-		format:  m.Format,
-		noCache: true,
-		byID:    make(map[int]*versionMeta),
+		st:         st,
+		epoch:      s.epochs[st.Schema.Name],
+		dir:        filepath.Join(st.dir, chunksDirName(m.Gen)),
+		format:     m.Format,
+		stagedFrom: stagedFrom,
+		byID:       make(map[int]*versionMeta),
 	}
 	for _, vm := range m.Versions {
 		if vm.Deleted {
@@ -159,6 +168,12 @@ func (s *Store) viewOfMeta(st *arrayState, m *arrayMeta) *readView {
 func (st *arrayState) mutateLocked() {
 	st.seq++
 	st.cachedView.Store(nil)
+}
+
+// cached reports whether reads of version id through v consult and
+// fill the store-wide LRU (the per-id rule documented on stagedFrom).
+func (v *readView) cached(id int) bool {
+	return !v.noCache && (v.stagedFrom <= 0 || id < v.stagedFrom)
 }
 
 func (v *readView) version(id int) (*versionMeta, error) {

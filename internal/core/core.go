@@ -109,12 +109,6 @@ type Options struct {
 	// prober is armed lazily by the first degrade and disarms itself
 	// once everything is writable again.
 	HealInterval time.Duration
-	// DisableGroupCommit turns off the insert group-commit coalescer:
-	// every insert then pays its own chunks-dir fsync and metadata
-	// commit instead of sharing one with concurrent inserts to the same
-	// array. Exists for the ingest benchmark's per-insert-commit baseline
-	// and for bisecting; production callers leave it off.
-	DisableGroupCommit bool
 	// ManifestRotateBytes is the manifest log size that triggers a
 	// snapshot rotation. Zero means a 4 MiB default; negative disables
 	// rotation (the log grows without bound).
@@ -221,10 +215,14 @@ func (o *Options) fillDefaults() {
 // Locking: mu guards the array map and all version metadata. The select
 // paths hold it only long enough to snapshot one array's metadata (see
 // readView); chunk I/O and delta unwinding then proceed without it, so
-// reads run concurrently with each other and with inserts. Destructive
-// rewrites (Reorganize, Compact, DeleteArray) additionally take the
-// per-array ioMu write latch so they cannot pull chunk files out from
-// under an in-flight reader.
+// reads run concurrently with each other and with inserts. Every
+// metadata writer first takes the store-wide commit latch (man.mu, see
+// manifest.go), so committed metadata changes one commit at a time.
+// Destructive rewrites
+// (Reorganize, Compact, DeleteArray) additionally take the per-array
+// ioMu write latch so they cannot pull chunk files out from under an
+// in-flight reader. The full order is reorgMu < commit latch < writeMu
+// < mu < ioMu < healthMu < tuneEstMu < statsMu.
 type Store struct {
 	mu     sync.RWMutex
 	dir    string
@@ -233,7 +231,8 @@ type Store struct {
 	closed bool    // set by Close; guarded by mu
 	arrays map[string]*arrayState
 	// man is the store-wide manifest log — THE commit point of every
-	// metadata mutation (see manifest.go). Nil only for a legacy store
+	// metadata mutation — and its commit latch and insert commit queue
+	// (see manifest.go). Nil only for a legacy store
 	// opened without Durability, which is import-only: it serves reads
 	// and writeGate refuses every mutation. Set once by Open, immutable
 	// afterwards.
@@ -361,12 +360,13 @@ type IOStats struct {
 	// (1.0 means no concurrent inserts ever shared a commit).
 	GroupCommits        int64
 	GroupCommitVersions int64
-	// ManifestRecords counts metadata commits through the store-wide
-	// manifest log; ManifestAppends counts the physical log appends
-	// that carried them, so ManifestRecords/ManifestAppends is the
-	// cross-array coalescing factor. ManifestFsyncs counts log fsyncs
-	// (equal to appends under Durability); ManifestRotations counts
-	// snapshot rotations.
+	// ManifestRecords counts records appended to the store-wide
+	// manifest log and ManifestAppends the appends that wrote them; every
+	// append is one record (a drained insert queue folds all its
+	// requests, on every array, into one), so the two are equal and the
+	// insert coalescing shows in GroupCommitVersions/GroupCommits.
+	// ManifestFsyncs counts log fsyncs (equal to appends under
+	// Durability); ManifestRotations counts snapshot rotations.
 	ManifestRecords   int64
 	ManifestAppends   int64
 	ManifestFsyncs    int64
@@ -577,16 +577,18 @@ func (s *Store) Close() error {
 	}
 	// the heal prober fails fast on the closed flag the same way
 	s.stopHealer()
+	// drain writers first: an in-flight stager finishes encoding, then
+	// the commit latch holder fails fast on the closed flag and wakes
+	// every queued insert with ErrClosed
 	for _, st := range arrays {
-		// drain writers first: an in-flight stager finishes encoding,
-		// then its commit leader fails fast on the closed flag and wakes
-		// every waiter with ErrClosed
 		st.writeMu.Lock()
 		st.writeMu.Unlock()
-		st.syncMu.Lock()
-		st.syncMu.Unlock()
-		st.commitMu.Lock()
-		st.commitMu.Unlock()
+	}
+	if s.man != nil {
+		s.man.mu.Lock()
+		s.man.mu.Unlock()
+	}
+	for _, st := range arrays {
 		st.ioMu.Lock()
 		st.ioMu.Unlock()
 	}
@@ -738,8 +740,8 @@ type BranchRef struct {
 // fields serialized into a manifest record (and, in legacy stores, into
 // the versions.json that migration imports). Mutators never edit the
 // live copy in place: they build a staged arrayMeta (metaClone),
-// commit it with commitMeta, and install it only after the commit
-// succeeds, so a failed commit can never leave in-memory metadata
+// commit it with one manifest append, and install it only after the
+// commit succeeds, so a failed commit can never leave in-memory metadata
 // referencing an uncommitted version (see insert.go "The insert commit
 // path"). Committed documents are immutable: the manifest retains the
 // last committed doc of every array for its rotation snapshots, which
@@ -789,40 +791,29 @@ type arrayState struct {
 	// acquired before Store.mu, never while holding it.
 	reorgMu sync.Mutex
 
-	// writeMu is the per-array write latch: it serializes insert staging
-	// (payload resolution, plane encoding, blob appends) on this array
-	// without holding Store.mu, so inserts to different arrays encode
-	// and fsync concurrently. Acquired before Store.mu, never while
-	// holding it.
+	// writeMu is the per-array write latch: it serializes chunk-file
+	// appends on this array — insert staging (payload resolution, plane
+	// encoding, blob appends), the AutoBatchK and DeleteVersion
+	// re-encodes, and failure sweeps — without holding Store.mu, so
+	// inserts to different arrays encode concurrently. Lock order:
+	// reorgMu < commit latch (manifest.mu) < writeMu < Store.mu; there
+	// is no per-array commit latch — every metadata writer serializes
+	// on the store-wide one.
 	writeMu sync.Mutex
-	// syncMu and commitMu pipeline the group commit in two stages:
-	// syncMu admits one leader to the data-sync stage (drain pending,
-	// fsync every staged file and the chunks dir), commitMu admits one
-	// to the metadata stage (validate, install, commit via commitMeta —
-	// a manifest-log append). A leader acquires commitMu BEFORE
-	// releasing syncMu, so batches install in drain order, while the
-	// next leader's fsyncs overlap this leader's metadata commit.
-	//
-	// commitMu doubles as the array's metadata WRITER latch: insert
-	// leaders run the metadata commit with Store.mu released (so selects
-	// and staging never stall behind the commit's fsyncs), which is only
-	// safe because every other metadata writer on the array —
-	// DeleteVersion, Reorganize, Compact — also holds commitMu across
-	// its saveMeta. Lock order: syncMu < commitMu < writeMu < Store.mu
-	// < pendMu; the manifest's own latches are leaves below all of
-	// these (commit leaders append while holding commitMu, sometimes
-	// Store.mu too, and the manifest never takes a store lock back).
-	syncMu   sync.Mutex
-	commitMu sync.Mutex
-	// pendMu guards pending and stageNext.
-	pendMu sync.Mutex
-	// pending holds staged, uncommitted inserts in stage order.
-	pending []*stagedInsert
 	// stageNext is the id the next staged insert will reserve; always
-	// >= NextID. A stage-time failure rolls its own reservation back
-	// (under writeMu, so no later reservation exists); ids lost to
-	// commit-time failures become permanent gaps — ids are never reused.
+	// >= NextID once staging starts. A staging that does not commit
+	// hands its reservation back when it is still the top
+	// (reclaimLocked); ids lost below the top stay gaps. stagedRep is
+	// the representation an empty array's staged, uncommitted first
+	// insert encoded with, so concurrent first inserts encode alike.
+	// Both are guarded by writeMu: every id reservation happens under it.
 	stageNext int
+	stagedRep *repChoice
+	// heals counts heal passes. A heal sweeps every blob no committed
+	// version references — including those of inserts staged before it
+	// and still queued — so a part staged under an older count must not
+	// commit. Written under writeMu and the commit latch.
+	heals uint64
 
 	// seq counts metadata mutations (insert, delete-version, rewrite
 	// commits). An off-lock rewrite snapshots it and only commits if it
@@ -942,12 +933,12 @@ func (st *arrayState) installMeta(m arrayMeta) {
 	st.Gen = m.Gen
 }
 
-// saveMeta commits an array's current in-memory metadata; mutators that
-// stage changes first commit the staged copy with commitMeta and
-// install it only on success.
-func (s *Store) saveMeta(st *arrayState) error {
+// metaOp is the manifest op that commits the array's current in-memory
+// document; mutators that stage changes commit the staged copy instead
+// and install it only on success. Callers hold Store.mu.
+func (st *arrayState) metaOp() manifestOp {
 	m := st.metaClone()
-	return s.commitMeta(st, &m)
+	return manifestOp{Name: st.Schema.Name, Meta: &m}
 }
 
 // --- array lifecycle (the five basic operations, §II) ---
@@ -958,17 +949,21 @@ func (s *Store) CreateArray(schema array.Schema) error {
 	if err := schema.Validate(); err != nil {
 		return err
 	}
+	if err := s.writeGate(schema.Name); err != nil {
+		return err
+	}
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.createArrayLocked(schema, nil)
 }
 
+// createArrayLocked commits a new, empty array. Callers have passed
+// writeGate and hold the commit latch and Store.mu.
 func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef) error {
 	if s.closed {
 		return ErrClosed
-	}
-	if err := s.writeGate(schema.Name); err != nil {
-		return err
 	}
 	if _, ok := s.arrays[schema.Name]; ok {
 		return fmt.Errorf("core: array %q already exists", schema.Name)
@@ -1009,7 +1004,7 @@ func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef) 
 		},
 		dir: dir,
 	}
-	if err := s.saveMeta(st); err != nil {
+	if err := s.man.commit(st.metaOp()); err != nil {
 		// the array was never visible, so its directory is debris. An
 		// uncertain commit already degraded the store via the poisoned
 		// log, and the heal's truncation drops the record that may have
@@ -1028,32 +1023,28 @@ func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef) 
 // leave debris for Open-time recovery to sweep — never a half-deleted
 // array that resurrects with versions missing.
 //
-// The array's commitMu is held across the commit: an insert leader
-// runs its metadata commit with Store.mu released, and without this
-// latch a delete + same-name recreate could slip into that window,
-// landing the old array's staged metadata under the recreated array's
-// name.
+// The commit latch is held across the commit: the insert queue's
+// latch holder validates and installs with Store.mu released between
+// the two, and without the latch a delete + same-name recreate could
+// slip into that window, landing the old array's staged metadata under
+// the recreated array's name.
 func (s *Store) DeleteArray(name string) error {
 	if err := s.writeGate(name); err != nil {
 		return err
 	}
-	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.commitMu}
-	})
-	if err != nil {
-		return err
-	}
-	defer st.commitMu.Unlock()
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if s.arrays[name] != st {
+	st, ok := s.arrays[name]
+	if !ok {
 		return fmt.Errorf("core: no array %q", name)
 	}
 	st.ioMu.Lock()
-	if err := s.man.commit([]manifestOp{{Name: name, Drop: true}}); err != nil {
+	if err := s.man.commit(manifestOp{Name: name, Drop: true}); err != nil {
 		st.ioMu.Unlock()
 		s.noteCommitFailure(st, err)
 		return err

@@ -376,7 +376,7 @@ func TestLegacyRawFormatCompat(t *testing.T) {
 	// exactly as a pre-frame store would load
 	st := s.arrays["Old"]
 	st.Format = formatRaw
-	if err := s.saveMeta(st); err != nil {
+	if err := s.man.commit(st.metaOp()); err != nil {
 		t.Fatal(err)
 	}
 	want := []*array.Dense{crashContent(1, side), crashContent(2, side)}

@@ -305,13 +305,16 @@ func (s *Store) probeDir(dir string) error {
 	return rerr
 }
 
-// healArray runs one array's heal pass. It acquires every write-side
-// latch in the documented order (reorgMu, then syncMu < commitMu <
-// writeMu), so no insert, delete, or rewrite can be mid-commit: the
-// in-memory metadata it re-commits and sweeps against cannot move.
+// healArray runs one array's heal pass. It acquires the array's
+// rewrite latch, the commit latch and the array's write latch, in the
+// documented order, so no insert, delete, or rewrite can be mid-commit:
+// the in-memory metadata it re-commits and sweeps against cannot move.
+// Inserts staged before the heal and still queued lose their unsynced
+// blobs to the sweep below; bumping st.heals makes the commit reject
+// them.
 func (s *Store) healArray(name string, rep *HealReport) error {
 	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &st.syncMu, &st.commitMu, &st.writeMu}
+		return []*sync.Mutex{&st.reorgMu, &s.man.mu, &st.writeMu}
 	})
 	if err != nil {
 		if errors.Is(err, ErrClosed) {
@@ -323,20 +326,9 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 		return nil
 	}
 	defer st.reorgMu.Unlock()
-	defer st.syncMu.Unlock()
-	defer st.commitMu.Unlock()
+	defer s.man.mu.Unlock()
 	defer st.writeMu.Unlock()
-
-	// inserts staged before the degrade are still queued; their blobs
-	// were never synced and the sweep below reclaims them, so fail them
-	// now rather than letting them retry against a healing disk
-	if batch := st.drainPending(); len(batch) > 0 {
-		gateErr := fmt.Errorf("core: array %q is read-only: %w", name, ErrDegraded)
-		for _, ins := range batch {
-			ins.fail(gateErr)
-			close(ins.done)
-		}
-	}
+	st.heals++
 
 	if err := s.probeDir(st.dir); err != nil {
 		return err
@@ -356,9 +348,9 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 		s.clearDegraded(name)
 		return nil
 	}
-	m := st.metaClone()
+	op := st.metaOp()
 	s.mu.RUnlock()
-	if err := s.commitMeta(st, &m); err != nil {
+	if err := s.man.commit(op); err != nil {
 		return err
 	}
 

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -21,24 +22,25 @@ import (
 
 // The insert commit path.
 //
-// An insert runs in two phases. *Staging* resolves the payload, picks a
-// delta base, and encodes every chunk — appending blobs to the chunk
-// files — against a cloned metadata snapshot, holding only the array's
-// writeMu (which serializes appenders on one array) and its shared I/O
-// latch (which pins the chunk generation); Store.mu is held just long
-// enough to take the snapshot, so inserts to different arrays encode
-// and fsync concurrently, and never stall readers. *Commit* installs
-// the staged versions: a group-commit leader drains every staged insert
-// pending on the array, makes their payloads durable with one fsync per
-// touched file plus one chunks-dir fsync shared by the whole batch,
-// validates each against the live state (generation unchanged, delta
-// bases still live), and publishes them all with a single metadata
-// commit — one record appended to the store-wide manifest log
-// (commitMeta).
+// An insert runs in two phases. *Staging* resolves the payload, picks
+// a delta base, reserves version ids (stageNext), and encodes every
+// chunk — appending blobs (unsynced) to the chunk files — against a
+// cloned metadata snapshot, holding only the array's writeMu (which
+// serializes appenders on one array) and its shared I/O latch (which
+// pins the chunk generation); Store.mu is held just long enough to take
+// the snapshot, so inserts encode concurrently and never stall readers.
+// *Commit* hands the request to the store-wide commit queue: whichever
+// insert holds the commit latch (the manifest's writer latch, which
+// every metadata writer takes) drains the whole queue, fsyncs the union
+// of the drained requests' files once each, validates each request as
+// a unit against the live state (generation unchanged, delta bases
+// still live, representation consistent), and publishes every
+// survivor, across all arrays, with ONE manifest record
+// (commitQueued).
 //
-// Nothing is installed into the live arrayState until that commit
-// succeeds: mutators build a staged arrayMeta and install it only after
-// commitMeta returns, so a failed commit leaves in-memory metadata
+// Nothing is installed into the live arrayState until that record is
+// appended: mutators build a staged arrayMeta and install it only after
+// the append returns, so a failed commit leaves in-memory metadata
 // exactly equal to on-disk metadata (no phantom versions a select could
 // read but a reopen would lose), and the blobs a failed stage appended
 // are reclaimed at the failure site (writeSet.sweep).
@@ -153,21 +155,22 @@ type chunkPlane struct {
 }
 
 // context returns the caller's context, defaulting to Background for
-// internal paths (fallback commit, Branch, Merge) that stage without
-// one. Cancellation is only honored during staging — a payload that
-// reached the shared commit queue always runs to completion, so a
-// group-commit leader never aborts followers' work.
+// internal paths (Branch, Merge, DeleteVersion, the AutoBatchK
+// re-encode) that stage without one. Cancellation is only honored
+// during staging — a payload that reached the shared commit queue
+// always runs to completion, so a latch holder never aborts other
+// requests' work.
 func (c *insertCtx) context() context.Context {
 	if c.goCtx != nil {
 		return c.goCtx
 	}
-	return context.Background() //avlint:allow-ctx the designated fallback for internal non-cancellable staging (fallback commit, Branch, Merge); every cancellable path sets goCtx
+	return context.Background() //avlint:allow-ctx the designated fallback for internal non-cancellable staging (Branch, Merge, re-encodes); every cancellable path sets goCtx
 }
 
 // writeSet tracks the chunk-file byte ranges appended by one staged
 // mutation, for the two jobs that follow staging: fsyncing each touched
-// file exactly once at the shared commit point, and reclaiming the
-// bytes if the mutation fails before committing.
+// file exactly once before the commit, and reclaiming the bytes if the
+// mutation fails before committing.
 type writeSet struct {
 	mu    sync.Mutex
 	files map[string]*fileSpan
@@ -201,13 +204,15 @@ func (w *writeSet) record(path string, start, end int64) {
 // sortedPaths returns the touched files in a deterministic order, so
 // the fault-injection matrix sees the same fsync/sweep step sequence on
 // every run.
-func (w *writeSet) sortedPaths() []string {
-	paths := make([]string, 0, len(w.files))
-	for p := range w.files {
-		paths = append(paths, p)
+func (w *writeSet) sortedPaths() []string { return sortedKeys(w.files) }
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(paths)
-	return paths
+	sort.Strings(keys)
+	return keys
 }
 
 func (w *writeSet) empty() bool { return len(w.files) == 0 }
@@ -254,13 +259,21 @@ func (s *Store) syncFile(path string) error {
 	return serr
 }
 
-// sync fsyncs every file in the set — the data-durability step of the
-// shared commit. Callers sync the chunks directory afterwards.
-func (w *writeSet) sync(s *Store) error {
+// sync makes the set's appends durable before a commit references
+// them: every touched file in sorted order, then dir — the chunks
+// directory they live in — when the set created a file. No-op without
+// Durability.
+func (w *writeSet) sync(s *Store, dir string) error {
+	if !s.opts.Durability {
+		return nil
+	}
 	for _, path := range w.sortedPaths() {
 		if err := s.syncFile(path); err != nil {
 			return err
 		}
+	}
+	if w.createdFiles() {
+		return s.fs.SyncDir(dir)
 	}
 	return nil
 }
@@ -300,44 +313,59 @@ func (w *writeSet) sweep(s *Store) {
 	s.addInsertOrphans(files, bytes)
 }
 
-// stagedInsert is one insert (a whole InsertBatch call) staged on an
-// array, awaiting its shared commit.
+// stagedInsert is one array's part of a commit request: a batch of
+// payloads staged on the array, awaiting the shared commit.
 type stagedInsert struct {
+	st     *arrayState
 	vms    []*versionMeta // staged versions with reserved ids, in order
 	sparse bool           // representation the payloads were encoded with
 	fill   int64
-	gen    int // chunk generation the blobs were appended into
-	format int
+	gen    int    // chunk generation the blobs were appended into
+	format int    // and its chunk format
+	dir    string // that generation's chunks directory
+	heals  uint64 // st.heals when staged: a later heal swept the blobs
 	ws     *writeSet
 	// planes are the staged dense chunks, published write-through to
 	// the LRU only if the commit installs them
 	planes []chunkPlane
+}
 
-	// tr is the staging request's trace (nil when untraced); the
-	// group-commit leader attributes the shared commit stages to it, so
-	// a traced insert sees the fsync/commit wait it actually rode.
-	tr *trace.Trace
-	// enqueuedAt marks when the insert entered the pending queue; zeroed
-	// once its queue_wait has been observed (re-drain rounds and the
-	// DisableGroupCommit requeue must not double-count).
+// commitReq is one insert request — an InsertBatch (one part) or an
+// InsertMulti (one part per array, in sorted-name order) — on its way
+// through the store-wide commit queue. It commits as a unit: every
+// part's versions become visible in the same manifest record, or none
+// do.
+type commitReq struct {
+	parts []*stagedInsert
+	// tr is the request's trace (nil when untraced); the latch holder
+	// attributes the shared commit stages to it.
+	tr         *trace.Trace
 	enqueuedAt time.Time
 
 	// outcome, final once done is closed
 	done  chan struct{}
-	ids   []int
 	err   error
 	retry bool // staging was invalidated (generation moved / base died)
 }
 
-func (ins *stagedInsert) fail(err error) {
-	if ins.err == nil && !ins.retry {
-		ins.err = err
+func (r *commitReq) fail(err error) {
+	if r.err == nil && !r.retry {
+		r.err = err
 	}
 }
 
+func (r *commitReq) pending() bool { return r.err == nil && !r.retry }
+
+// repChoice is an empty array's representation as fixed by a staged,
+// not yet committed first insert.
+type repChoice struct {
+	sparse bool
+	fill   int64
+}
+
 // insertRetries bounds the optimistic stage attempts before an insert
-// falls back to committing under the store lock (guaranteed progress
-// when the array is rewritten faster than staging can revalidate).
+// stages under the commit latch instead (guaranteed progress when the
+// array is rewritten faster than staging can revalidate).
 const insertRetries = 3
 
 // Insert adds a new version to the named array and returns its ID
@@ -368,12 +396,12 @@ func (s *Store) InsertCtx(ctx context.Context, name string, p Payload) (int, err
 // in the batch. Delta-list payloads must reference already-committed
 // versions.
 //
-// Concurrent durable inserts to the same array coalesce: whichever
-// insert reaches the commit point first becomes the group-commit leader
-// and publishes every insert staged behind it with one fsync schedule
-// and one metadata commit, so ingest throughput scales past the
-// single-commit fsync latency (see DESIGN.md "Write path & group
-// commit").
+// Concurrent durable inserts coalesce, on one array or many: each
+// staged insert joins the store-wide commit queue, and whichever insert
+// takes the commit latch fsyncs every queued insert's files once and
+// publishes them all with one manifest record, so ingest throughput scales
+// past the single-commit fsync latency (see DESIGN.md "Write path &
+// group commit").
 func (s *Store) InsertBatch(name string, ps []Payload) ([]int, error) {
 	return s.InsertBatchCtx(context.Background(), name, ps)
 }
@@ -387,23 +415,18 @@ func (s *Store) InsertBatchCtx(ctx context.Context, name string, ps []Payload) (
 	if err := s.writeGate(name); err != nil {
 		return nil, err
 	}
-	for attempt := 0; attempt < insertRetries; attempt++ {
-		ids, retry, err := s.tryInsertBatch(ctx, name, ps)
-		if !retry {
-			return ids, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	ids, err := s.insert(ctx, []MultiInsert{{Array: name, Payloads: ps}})
+	if err != nil {
 		return nil, err
 	}
-	return s.insertBatchFallback(name, ps)
+	return ids[0], nil
 }
 
 // lockArray resolves an array and acquires the latches pick selects —
-// which MUST be returned in the documented latch order (syncMu <
-// commitMu < writeMu) — then re-verifies the array was not dropped or
-// replaced while waiting, retrying if it was. The caller releases the
-// latches in reverse order. Latches are always acquired without
+// which MUST be returned in the documented latch order (reorgMu <
+// commit latch < writeMu) — then re-verifies the array was not dropped
+// or replaced while waiting, retrying if it was. The caller releases
+// the latches in reverse order. Latches are always acquired without
 // holding Store.mu.
 func (s *Store) lockArray(name string, pick func(st *arrayState) []*sync.Mutex) (*arrayState, error) {
 	for {
@@ -442,67 +465,124 @@ func (s *Store) lockWrite(name string) (*arrayState, error) {
 	})
 }
 
-// lockMetaWrite is lockWrite plus the metadata writer latch
-// (commitMu), for mutators outside the insert pipeline that both
-// append to chunk files and rewrite the metadata (DeleteVersion). The
-// caller releases st.writeMu then st.commitMu.
-func (s *Store) lockMetaWrite(name string) (*arrayState, error) {
-	return s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.commitMu, &st.writeMu}
-	})
+// insert runs one request through the pipeline: stage every batch
+// (sorted by array name, names distinct) and commit through the queue,
+// re-staging when a concurrent rewrite or delete invalidated the
+// staging. It returns each batch's ids.
+func (s *Store) insert(ctx context.Context, batches []MultiInsert) ([][]int, error) {
+	for attempt := 0; attempt < insertRetries; attempt++ {
+		req, err := s.stageRequest(ctx, batches)
+		if err != nil {
+			return nil, err
+		}
+		s.awaitCommit(req)
+		if ids, err := s.settle(req); !req.retry {
+			return ids, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.insertFallback(ctx, batches)
 }
 
-// tryInsertBatch performs one optimistic stage + commit attempt.
-// retry=true means the staged encoding was invalidated by a concurrent
-// rewrite or delete and the caller should re-stage.
-func (s *Store) tryInsertBatch(ctx context.Context, name string, ps []Payload) (ids []int, retry bool, err error) {
-	st, err := s.lockWrite(name)
+// insertFallback is the contended path: after insertRetries
+// invalidated stagings, the request stages while holding the commit
+// latch — under which no generation can move and no delta base can die
+// — then commits itself together with whatever is queued.
+func (s *Store) insertFallback(ctx context.Context, batches []MultiInsert) ([][]int, error) {
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
+	req, err := s.stageRequest(ctx, batches)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	ins, err := s.stageBatch(ctx, st, ps, "insert")
-	if err != nil {
-		st.writeMu.Unlock()
-		return nil, false, err
+	req.enqueuedAt = time.Now()
+	s.commitQueued(append(s.man.drain(), req))
+	if req.retry {
+		req.retry = false
+		req.fail(fmt.Errorf("core: insert staging invalidated under the commit latch"))
 	}
-	ins.enqueuedAt = time.Now()
-	st.pendMu.Lock()
-	st.pending = append(st.pending, ins)
-	st.pendMu.Unlock()
-	st.writeMu.Unlock()
-	s.awaitCommit(st, ins)
-	if ins.retry || ins.err != nil {
-		// reclaim the staged blobs; under the write latch so the size
-		// checks cannot race another stager's appends
-		st.writeMu.Lock()
-		ins.ws.sweep(s)
-		// reclaim the reserved ids too when they are still the top of
-		// the reservation space (no later stage reserved past us), so a
-		// retried or failed insert does not leave a version-id gap
-		st.pendMu.Lock()
-		if st.stageNext == ins.vms[len(ins.vms)-1].ID+1 {
-			st.stageNext = ins.vms[0].ID
+	return s.settle(req)
+}
+
+// stageRequest stages each batch on its array under that array's write
+// latch, in order. On error every part staged so far is reclaimed.
+func (s *Store) stageRequest(ctx context.Context, batches []MultiInsert) (*commitReq, error) {
+	req := &commitReq{tr: trace.FromContext(ctx), done: make(chan struct{})}
+	for _, b := range batches {
+		st, err := s.lockWrite(b.Array)
+		if err == nil {
+			var part *stagedInsert
+			part, err = s.stageBatch(ctx, st, b.Payloads, "insert")
+			if err == nil {
+				req.parts = append(req.parts, part)
+			}
+			st.writeMu.Unlock()
 		}
-		st.pendMu.Unlock()
-		st.writeMu.Unlock()
-		return nil, ins.retry, ins.err
+		if err != nil {
+			s.unstage(req)
+			return nil, err
+		}
 	}
-	return ins.ids, false, nil
+	return req, nil
+}
+
+// settle returns a finished request's ids per part, or reclaims a
+// request that did not commit and returns its error.
+func (s *Store) settle(req *commitReq) ([][]int, error) {
+	if !req.pending() {
+		s.unstage(req)
+		return nil, req.err
+	}
+	ids := make([][]int, len(req.parts))
+	for i, p := range req.parts {
+		for _, vm := range p.vms {
+			ids[i] = append(ids[i], vm.ID)
+		}
+	}
+	return ids, nil
+}
+
+// unstage reclaims every part of a request that will not commit, each
+// under its array's write latch.
+func (s *Store) unstage(req *commitReq) {
+	for _, p := range req.parts {
+		p.st.writeMu.Lock()
+		s.reclaimLocked(p.st, p.ws, p.vms[0].ID, p.vms[len(p.vms)-1].ID+1)
+		p.st.writeMu.Unlock()
+	}
+}
+
+// reclaimLocked undoes a staging that will not commit: its blobs are
+// swept, its reserved ids [first, end) handed back when they are still
+// the top of the reservation space (no later stage reserved past
+// them), so a failed insert leaves no version-id gap, and the staged
+// representation is forgotten (the commit re-validates whatever
+// in-flight stagings encoded with). Callers hold st.writeMu, so the
+// sweep's size checks cannot race another stager's appends.
+func (s *Store) reclaimLocked(st *arrayState, ws *writeSet, first, end int) {
+	ws.sweep(s)
+	if st.stageNext == end {
+		st.stageNext = first
+	}
+	st.stagedRep = nil
 }
 
 // stageBatch resolves and encodes a batch of payloads against a private
 // metadata snapshot, appending chunk blobs (unsynced) to the pinned
-// generation. On success the returned stagedInsert is ready to enqueue;
-// on error every appended blob has been reclaimed and the reserved ids
-// returned to the pool. Callers hold st.writeMu.
+// generation. On success the returned part is ready to commit; on
+// error every appended blob has been reclaimed and the reserved ids
+// returned to the pool. Callers hold st.writeMu, which also guards the
+// id reservation (stageNext) and the staged representation.
 func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, kind string) (*stagedInsert, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// snapshot under the store lock: metadata view, generation pin (the
 	// I/O read latch is acquired before the lock drops, so a rewrite
-	// cannot remove the generation out from under the appends), id
-	// reservation, and the staged-but-uncommitted representation.
+	// cannot remove the generation out from under the appends), and the
+	// committed NextID the reservation starts from.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -514,52 +594,34 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		return nil, fmt.Errorf("core: no array %q", name)
 	}
 	v := s.viewLocked(st, true)
-	repFixed := len(st.Versions) > 0
+	repOpen := len(st.Versions) == 0
 	sparse, fill := st.SparseRep, st.Fill
-	st.pendMu.Lock()
-	// stageNext only moves forward past the committed NextID: an empty
-	// pending queue does NOT mean no outstanding reservations — a leader
-	// drains the queue before its commit installs, so resetting here
-	// could hand two inserts the same id. Ids lost to commit-time
-	// failures stay gaps (never reused); stage-time failures roll their
-	// reservation back below.
+	// stageNext only moves forward past the committed NextID: ids
+	// reserved by stagings still in flight are not committed yet, so
+	// resetting to NextID could hand two inserts the same id. Ids lost
+	// to commit-time failures below the top stay gaps (never reused).
 	if st.stageNext < st.NextID {
 		st.stageNext = st.NextID
 	}
-	baseID := st.stageNext
-	st.stageNext += len(ps)
-	v.stagedFrom = baseID
-	if !repFixed && len(st.pending) > 0 {
-		// an uncommitted first insert already fixed the representation;
-		// encode consistently with it (the commit re-validates)
-		last := st.pending[len(st.pending)-1]
-		repFixed, sparse, fill = true, last.sparse, last.fill
-	}
-	st.pendMu.Unlock()
 	st.ioMu.RLock()
 	gen, format := st.Gen, st.Format
 	s.mu.RUnlock()
 	defer st.ioMu.RUnlock()
 
-	unreserve := func() {
-		st.pendMu.Lock()
-		if st.stageNext == baseID+len(ps) {
-			st.stageNext = baseID
-		}
-		st.pendMu.Unlock()
+	baseID := st.stageNext
+	st.stageNext += len(ps)
+	v.stagedFrom = baseID
+	repFixed := !repOpen
+	if repOpen && st.stagedRep != nil {
+		// an uncommitted first insert already fixed the representation;
+		// encode consistently with it (the commit re-validates)
+		repFixed, sparse, fill = true, st.stagedRep.sparse, st.stagedRep.fill
 	}
-	ins := &stagedInsert{
-		gen:    gen,
-		format: format,
-		ws:     newWriteSet(),
-		tr:     trace.FromContext(ctx),
-		done:   make(chan struct{}),
-	}
+	ins := &stagedInsert{st: st, gen: gen, format: format, dir: v.dir, heals: st.heals, ws: newWriteSet()}
 	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.dir, format: format, sparse: sparse, goCtx: ctx,
 		keepPlanes: s.chunkCache != nil}
 	fail := func(err error) (*stagedInsert, error) {
-		ins.ws.sweep(s)
-		unreserve()
+		s.reclaimLocked(st, ins.ws, baseID, baseID+len(ps))
 		s.noteDiskPressure(err) // staging failures are benign, ENOSPC is not
 		return nil, err
 	}
@@ -576,9 +638,12 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	}
 	encDur := time.Since(encStart)
 	s.prof.observeCommit(StageStageEncode, encDur, ins.ws.totalBytes())
-	ins.tr.Observe(StageStageEncode, encDur, ins.ws.totalBytes())
+	trace.FromContext(ctx).Observe(StageStageEncode, encDur, ins.ws.totalBytes())
 	ins.sparse, ins.fill = sparse, fill
 	ins.planes = ictx.planes
+	if repOpen && st.stagedRep == nil {
+		st.stagedRep = &repChoice{sparse: sparse, fill: fill}
+	}
 	return ins, nil
 }
 
@@ -636,189 +701,350 @@ func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string, rep
 	return vm, nil
 }
 
-// awaitCommit blocks until mine's outcome is final. Whichever staged
-// insert acquires the sync-stage latch first becomes a leader: it
-// drains every insert pending on the array, makes their payloads
-// durable, and publishes them all with one metadata commit. The two
-// commit stages are pipelined — a leader acquires the metadata latch
-// before releasing the sync latch (preserving drain order), so the
-// next leader's fsync schedule overlaps this leader's metadata
-// commit. Inserts staged while a commit is in flight ride the next
-// leader (or a re-drain round of the current one) — the commit window
-// is the duration of the commit in front, no timers involved.
-func (s *Store) awaitCommit(st *arrayState, mine *stagedInsert) {
-	for {
-		select {
-		case <-mine.done:
-			return
-		default:
+// awaitCommit enqueues a staged request on the store-wide commit queue
+// and returns once its outcome is final. Whichever inserter takes the
+// commit latch drains the whole queue and commits it (commitQueued), so
+// requests queued while a commit is in flight ride the next one — the
+// commit window is the duration of the commit in front, no timers
+// involved. Once a waiter holds the latch its request is either in the
+// queue or already committed by the holder in front, so one pass
+// suffices.
+func (s *Store) awaitCommit(req *commitReq) {
+	man := s.man
+	req.enqueuedAt = time.Now()
+	man.qmu.Lock()
+	man.queue = append(man.queue, req)
+	man.qmu.Unlock()
+	man.mu.Lock()
+	select {
+	case <-req.done:
+	default:
+		s.commitQueued(man.drain())
+	}
+	man.mu.Unlock()
+}
+
+// syncQueued makes the drained requests' payloads durable before their
+// commit: the union of their touched files, each fsynced ONCE in sorted
+// order — concurrent inserts on one array share its chain files, and
+// this sharing is where group commit's throughput comes from — then
+// the chunks directories they created files in, sorted. A missing file
+// or directory means a rewrite swept the generation mid-stage: every
+// request that touched it re-stages. Any other failure may have
+// dropped written pages, so the array degrades and its requests fail.
+// No-op without Durability.
+func (s *Store) syncQueued(batch []*commitReq) {
+	if !s.opts.Durability {
+		return
+	}
+	type touch struct {
+		r  *commitReq
+		st *arrayState
+	}
+	files := map[string][]touch{}
+	dirs := map[string][]touch{}
+	var total int64
+	for _, r := range batch {
+		if !r.pending() {
+			continue
 		}
-		st.syncMu.Lock()
-		select {
-		case <-mine.done:
-			st.syncMu.Unlock()
-			return
-		default:
+		for _, p := range r.parts {
+			t := touch{r, p.st}
+			for path := range p.ws.files {
+				files[path] = append(files[path], t)
+			}
+			if p.ws.createdFiles() {
+				dirs[p.dir] = append(dirs[p.dir], t)
+			}
+			total += p.ws.totalBytes()
 		}
-		// mine is not done, therefore still pending: the drain below
-		// includes it, and every drained insert is finalized before the
-		// latches are released
-		batch := st.drainPending()
-		if s.opts.DisableGroupCommit && len(batch) > 1 {
-			// per-insert-commit baseline: commit the head alone, requeue
-			// the rest in order
-			st.pendMu.Lock()
-			st.pending = append(append([]*stagedInsert(nil), batch[1:]...), st.pending...)
-			st.pendMu.Unlock()
-			batch = batch[:1]
-		}
-		// Sync stage: fsync the batch, then keep draining inserts that
-		// staged while those fsyncs ran (bounded rounds, so a steady
-		// stager stream cannot starve the commit) — coalescing deepens
-		// to the natural arrival rate without any timer.
-		s.syncStagedBatch(st, batch)
-		if !s.opts.DisableGroupCommit {
-			for round := 0; round < 5; round++ {
-				more := st.drainPending()
-				if len(more) == 0 {
-					break
+	}
+	start := time.Now()
+	sync := func(set map[string][]touch, fsync func(string) error) {
+		for _, path := range sortedKeys(set) {
+			ts := set[path]
+			if !slices.ContainsFunc(ts, func(t touch) bool { return t.r.pending() }) {
+				continue
+			}
+			err := fsync(path)
+			for _, t := range ts {
+				switch {
+				case err == nil:
+				case errors.Is(err, fs.ErrNotExist):
+					t.r.retry = true
+				default:
+					s.noteCommitFailure(t.st, err)
+					t.r.fail(err)
 				}
-				s.syncStagedBatch(st, more)
-				batch = append(batch, more...)
 			}
 		}
-		// stage handoff: commitMu before syncMu releases, so batches
-		// install in drain order while the next leader starts syncing
-		st.commitMu.Lock()
-		st.syncMu.Unlock()
-		s.finalizeBatch(st, batch, false)
-		st.commitMu.Unlock()
+	}
+	sync(files, s.syncFile)
+	sync(dirs, s.fs.SyncDir)
+	d := time.Since(start)
+	s.prof.observeCommit(StageDataFsync, d, total)
+	for _, r := range batch {
+		var b int64
+		for _, p := range r.parts {
+			b += p.ws.totalBytes()
+		}
+		// the whole shared fsync schedule is each request's wait
+		r.tr.Observe(StageDataFsync, d, b)
 	}
 }
 
-func (st *arrayState) drainPending() []*stagedInsert {
-	st.pendMu.Lock()
-	batch := st.pending
-	st.pending = nil
-	st.pendMu.Unlock()
+// drain empties the commit queue. Callers hold the commit latch.
+func (man *manifest) drain() []*commitReq {
+	man.qmu.Lock()
+	batch := man.queue
+	man.queue = nil
+	man.qmu.Unlock()
 	return batch
 }
 
-// finalizeBatch is the metadata stage of the group commit: validate
-// every synced staged insert against the live state, commit the staged
-// document with a single metadata commit (a manifest-log record), and
-// install it. The
-// commit runs with Store.mu RELEASED — commitMu (held by the caller)
-// is the metadata writer latch, serializing it against every
-// other metadata writer on the array — so concurrent selects and the
-// next leader's staging never stall behind the commit's fsyncs. Every
-// insert in the batch has its outcome finalized (done closed) before
-// it returns. latched reports that the caller already holds st.writeMu
-// (the under-lock fallback) — otherwise it is taken only when the
-// AutoBatchK re-encode could append.
-func (s *Store) finalizeBatch(st *arrayState, batch []*stagedInsert, latched bool) {
+// commitDraft is one touched array's part of a drained commit: the
+// staged document installing every accepted part, built from the live
+// state.
+type commitDraft struct {
+	st    *arrayState
+	live  map[int]bool // live ids plus those of parts accepted so far
+	rep   *repChoice   // the array's representation; nil while none is fixed
+	parts []*stagedInsert
+	doc   *arrayMeta
+	ws    *writeSet // the AutoBatchK re-encode's appends
+}
+
+// commitQueued commits a drained queue: it rejects requests on a
+// degraded array or one healed since they staged (the heal swept their
+// blobs), makes the rest durable
+// (syncQueued), validates them, and commits every request that
+// validates in ONE manifest record with one op per touched array.
+// Every request's outcome is final (done closed) when it returns.
+// Callers hold the commit latch, which every other metadata writer also
+// takes, so nothing validated here can change before the install.
+func (s *Store) commitQueued(batch []*commitReq) {
 	if len(batch) == 0 {
 		return
 	}
-	if s.opts.AutoBatchK > 1 && !latched {
-		// the batched-update re-encode appends to chunk files; appends
-		// require the write latch (see writeSet.sweep and appendBlob)
-		st.writeMu.Lock()
-		defer st.writeMu.Unlock()
-	}
-	s.mu.Lock()
-	if s.closed || s.arrays[st.Schema.Name] != st {
-		err := error(ErrClosed)
-		if !s.closed {
-			err = fmt.Errorf("core: no array %q", st.Schema.Name)
+	defer func() {
+		for _, r := range batch {
+			close(r.done)
 		}
-		s.mu.Unlock()
-		for _, ins := range batch {
-			ins.retry = false
-			ins.fail(err)
-		}
-		for _, ins := range batch {
-			close(ins.done)
-		}
-		return
-	}
-	ok, staged, ws, installed := s.validateBatchLocked(st, batch)
-	s.mu.Unlock()
-	if len(ok) > 0 {
-		var commitErr error
-		if s.opts.Durability && !ws.empty() {
-			// the AutoBatchK re-encode appended fresh blobs; they must be
-			// durable before the metadata that references them
-			commitErr = ws.sync(s)
-			if commitErr == nil && ws.createdFiles() {
-				commitErr = s.fs.SyncDir(filepath.Join(st.dir, chunksDirName(staged.Gen)))
+	}()
+	now := time.Now()
+	for _, r := range batch {
+		wait := now.Sub(r.enqueuedAt)
+		s.prof.observeCommit(StageQueueWait, wait, 0)
+		r.tr.Observe(StageQueueWait, wait, 0)
+		for _, p := range r.parts {
+			err := s.writeGate(p.st.Schema.Name)
+			if err == nil && p.heals != p.st.heals {
+				// a heal swept this staging's unsynced blobs
+				err = fmt.Errorf("core: array %q is read-only: %w", p.st.Schema.Name, ErrDegraded)
+			}
+			if err != nil {
+				r.fail(err)
+				break
 			}
 		}
-		if commitErr != nil {
+	}
+	s.syncQueued(batch)
+	if s.opts.AutoBatchK > 1 {
+		// the batched-update re-encode appends to chunk files; appends
+		// require the write latch (see writeSet.sweep and appendBlob),
+		// taken in sorted-name order
+		var sts []*arrayState
+		seen := map[*arrayState]bool{}
+		for _, r := range batch {
+			for _, p := range r.parts {
+				if !seen[p.st] {
+					seen[p.st] = true
+					sts = append(sts, p.st)
+				}
+			}
+		}
+		sort.Slice(sts, func(i, j int) bool { return sts[i].Schema.Name < sts[j].Schema.Name })
+		for _, st := range sts {
+			st.writeMu.Lock()
+			defer st.writeMu.Unlock()
+		}
+	}
+	s.mu.RLock()
+	ok, drafts := s.validateLocked(batch)
+	err := s.buildDraftsLocked(drafts)
+	s.mu.RUnlock()
+	if err == nil {
+		err = s.commitDrafts(ok, drafts)
+	}
+	if err != nil {
+		for _, d := range drafts {
+			d.ws.sweep(s) // writeMu is held whenever ws is non-empty
+		}
+		for _, r := range ok {
+			r.fail(err)
+		}
+	}
+}
+
+// validateLocked checks each pending request as a unit against the
+// live state — store open, array still live, generation and format
+// unchanged, delta bases still live, representation consistent — and returns the accepted requests plus
+// one draft per array they touch, in name order. A part that fails
+// rejects its whole request. Callers hold Store.mu.
+func (s *Store) validateLocked(batch []*commitReq) (ok []*commitReq, drafts []*commitDraft) {
+	byArray := map[*arrayState]*commitDraft{}
+	draft := func(st *arrayState) *commitDraft {
+		d := byArray[st]
+		if d == nil {
+			d = &commitDraft{st: st, live: map[int]bool{}, ws: newWriteSet()}
+			for _, vm := range st.live() {
+				d.live[vm.ID] = true
+			}
+			if len(st.Versions) > 0 {
+				d.rep = &repChoice{sparse: st.SparseRep, fill: st.Fill}
+			}
+			byArray[st] = d
+		}
+		return d
+	}
+	for _, r := range batch {
+		if !r.pending() {
+			continue
+		}
+		if s.closed {
+			r.fail(ErrClosed)
+			continue
+		}
+		for _, p := range r.parts {
+			st := p.st
+			name := st.Schema.Name
+			switch d := draft(st); {
+			case s.arrays[name] != st:
+				r.fail(fmt.Errorf("core: no array %q", name))
+			case p.gen != st.Gen || p.format != st.Format:
+				// a rewrite committed a new generation: the staged blobs
+				// live in the superseded directory and die with it
+				r.retry = true
+			case d.rep != nil && (p.sparse != d.rep.sparse || (p.sparse && p.fill != d.rep.fill)):
+				r.fail(fmt.Errorf("core: array %q uses the %s representation; staged payload does not",
+					name, repName(d.rep.sparse)))
+			case staleBase(p, d.live) != 0:
+				// a delta base was deleted between stage and commit
+				r.retry = true
+			}
+			if !r.pending() {
+				break
+			}
+		}
+		if !r.pending() {
+			continue
+		}
+		for _, p := range r.parts {
+			d := byArray[p.st]
+			d.parts = append(d.parts, p)
+			if d.rep == nil {
+				d.rep = &repChoice{sparse: p.sparse, fill: p.fill}
+			}
+		}
+		ok = append(ok, r)
+	}
+	for _, d := range byArray {
+		if len(d.parts) > 0 {
+			drafts = append(drafts, d)
+		}
+	}
+	sort.Slice(drafts, func(i, j int) bool { return drafts[i].st.Schema.Name < drafts[j].st.Schema.Name })
+	return ok, drafts
+}
+
+// buildDraftsLocked builds each draft's staged document: the live
+// document plus every accepted part's versions, kept in id order (an
+// insert that reached the queue first may commit before one that
+// reserved a lower id), with the AutoBatchK re-encode applied as
+// versions accumulate.
+// Callers hold Store.mu and, when AutoBatchK can append, the drafts'
+// write latches.
+func (s *Store) buildDraftsLocked(drafts []*commitDraft) error {
+	for _, d := range drafts {
+		doc := d.st.metaClone()
+		if len(doc.Versions) == 0 {
+			doc.SparseRep, doc.Fill = d.rep.sparse, d.rep.fill
+		}
+		qc := newChunkCache()
+		for _, p := range d.parts {
+			for _, vm := range p.vms {
+				i := len(doc.Versions)
+				for i > 0 && doc.Versions[i-1].ID > vm.ID {
+					i--
+				}
+				doc.Versions = slices.Insert(doc.Versions, i, vm)
+				doc.NextID = max(doc.NextID, vm.ID+1)
+				if err := s.batchReencodeStaged(d.st, &doc, d.ws, qc); err != nil {
+					return err
+				}
+			}
+		}
+		d.doc = &doc
+	}
+	return nil
+}
+
+// commitDrafts is the commit point of a drained queue: it syncs the
+// re-encode's appends, appends one record with one op per draft, and
+// installs and publishes every draft under Store.mu. Callers hold the
+// commit latch.
+func (s *Store) commitDrafts(ok []*commitReq, drafts []*commitDraft) error {
+	if len(drafts) == 0 {
+		return nil
+	}
+	ops := make([]manifestOp, len(drafts))
+	for i, d := range drafts {
+		if err := d.ws.sync(s, filepath.Join(d.st.dir, chunksDirName(d.doc.Gen))); err != nil {
 			// a failed data or chunks-dir fsync may have dropped
 			// already-written pages: on-disk effect uncertain, contain
 			// it by degrading the array before anyone writes behind it
-			s.noteCommitFailure(st, commitErr)
+			s.noteCommitFailure(d.st, err)
+			return err
 		}
-		if commitErr == nil {
-			t0 := time.Now()
-			commitErr = s.commitMeta(st, staged)
-			metaDur := time.Since(t0)
-			s.prof.observeCommit(StageMetaCommit, metaDur, 0)
-			for _, ins := range ok {
-				ins.tr.Observe(StageMetaCommit, metaDur, 0)
+		ops[i] = manifestOp{Name: d.st.Schema.Name, Meta: d.doc}
+	}
+	t0 := time.Now()
+	err := s.man.commit(ops...)
+	metaDur := time.Since(t0)
+	if err != nil {
+		if isUncertain(err) {
+			// the append failed mid-write: the record may be durable
+			// while memory rolls back
+			for _, d := range drafts {
+				s.noteCommitFailure(d.st, err)
 			}
-			if isUncertain(commitErr) {
-				// the manifest append failed mid-write: the record may
-				// be durable while memory rolls back
-				s.noteCommitFailure(st, commitErr)
-			} else {
-				s.noteDiskPressure(commitErr) // benign unless ENOSPC
-			}
+		} else {
+			s.noteDiskPressure(err) // benign unless ENOSPC
 		}
-		installStart := time.Now()
-		s.mu.Lock()
-		if commitErr == nil && s.arrays[st.Schema.Name] != st {
-			// DeleteArray won the race after our record landed: the
-			// array is gone and the inserts with it
-			commitErr = fmt.Errorf("core: no array %q", st.Schema.Name)
-		}
-		if commitErr == nil {
-			st.mutateLocked()
-			st.installMeta(*staged)
-			s.addGroupCommit(installed)
-			for _, ins := range ok {
-				ids := make([]int, len(ins.vms))
-				for i, vm := range ins.vms {
-					ids[i] = vm.ID
-				}
-				ins.ids = ids
-				s.publishLocked(st, ins.planes)
-			}
-		}
-		s.mu.Unlock()
-		if commitErr == nil {
-			installDur := time.Since(installStart)
-			s.prof.observeCommit(StageInstall, installDur, 0)
-			s.prof.batchSize.Observe(float64(installed))
-			for _, ins := range ok {
-				ins.tr.Observe(StageInstall, installDur, 0)
-			}
-		}
-		if commitErr != nil {
-			// the commit did not land: in-memory state is untouched, so
-			// the staged versions never existed — the stagers sweep their
-			// blobs, the re-encode's are swept here (writeMu is held
-			// whenever ws is non-empty)
-			ws.sweep(s)
-			for _, ins := range ok {
-				ins.fail(commitErr)
-			}
+		return err
+	}
+	installStart := time.Now()
+	installed := 0
+	s.mu.Lock()
+	for _, d := range drafts {
+		d.st.mutateLocked()
+		d.st.installMeta(*d.doc)
+		for _, p := range d.parts {
+			s.publishLocked(d.st, p.planes)
+			installed += len(p.vms)
 		}
 	}
-	for _, ins := range batch {
-		close(ins.done)
+	s.addGroupCommit(installed)
+	s.mu.Unlock()
+	installDur := time.Since(installStart)
+	s.prof.observeCommit(StageMetaCommit, metaDur, 0)
+	s.prof.observeCommit(StageInstall, installDur, 0)
+	s.prof.batchSize.Observe(float64(installed))
+	for _, r := range ok {
+		r.tr.Observe(StageMetaCommit, metaDur, 0)
+		r.tr.Observe(StageInstall, installDur, 0)
 	}
+	return nil
 }
 
 // publishLocked writes a committed insert's staged dense chunks through
@@ -837,178 +1063,9 @@ func (s *Store) publishLocked(st *arrayState, planes []chunkPlane) {
 	}
 }
 
-// syncStagedBatch makes one round of staged inserts durable. The
-// batch's write-sets are merged first, so a chunk file every member
-// appended to (the common co-located case: one chain file per chunk)
-// is fsynced ONCE for the whole batch — this sharing is where group
-// commit's throughput comes from — then each touched chunks directory
-// is fsynced once. A missing file means a rewrite swept the generation
-// mid-stage: every insert that touched it is marked for re-stage
-// rather than failed. No-op without Durability.
-func (s *Store) syncStagedBatch(st *arrayState, batch []*stagedInsert) {
-	// the leader has picked the batch up: close out each member's
-	// queue_wait exactly once (re-drain rounds and the per-insert-commit
-	// requeue see a zeroed mark)
-	now := time.Now()
-	for _, ins := range batch {
-		if ins.enqueuedAt.IsZero() {
-			continue
-		}
-		wait := now.Sub(ins.enqueuedAt)
-		ins.enqueuedAt = time.Time{}
-		s.prof.observeCommit(StageQueueWait, wait, 0)
-		ins.tr.Observe(StageQueueWait, wait, 0)
-	}
-	if !s.opts.Durability {
-		return
-	}
-	fsyncStart := time.Now()
-	defer func() {
-		d := time.Since(fsyncStart)
-		var total int64
-		for _, ins := range batch {
-			b := ins.ws.totalBytes()
-			total += b
-			// the whole shared fsync schedule is each member's wait
-			ins.tr.Observe(StageDataFsync, d, b)
-		}
-		s.prof.observeCommit(StageDataFsync, d, total)
-	}()
-	byPath := map[string][]*stagedInsert{}
-	dirs := map[string]bool{}
-	for _, ins := range batch {
-		if ins.err != nil || ins.retry {
-			continue
-		}
-		for path := range ins.ws.files {
-			byPath[path] = append(byPath[path], ins)
-		}
-		if ins.ws.createdFiles() {
-			dirs[filepath.Join(st.dir, chunksDirName(ins.gen))] = true
-		}
-	}
-	paths := make([]string, 0, len(byPath))
-	for p := range byPath {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths) // deterministic step order for the crash matrix
-	for _, path := range paths {
-		touchers := byPath[path]
-		alive := false
-		for _, ins := range touchers {
-			if ins.err == nil && !ins.retry {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			continue
-		}
-		if err := s.syncFile(path); err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				// a failed data fsync may have dropped already-written
-				// pages; the on-disk effect is uncertain
-				s.noteCommitFailure(st, err)
-			}
-			for _, ins := range touchers {
-				if errors.Is(err, fs.ErrNotExist) {
-					ins.retry = true
-				} else {
-					ins.fail(err)
-				}
-			}
-		}
-	}
-	dirNames := make([]string, 0, len(dirs))
-	for d := range dirs {
-		dirNames = append(dirNames, d)
-	}
-	sort.Strings(dirNames)
-	for _, d := range dirNames {
-		if err := s.fs.SyncDir(d); err != nil {
-			s.noteCommitFailure(st, err)
-			for _, ins := range batch {
-				ins.fail(err)
-			}
-		}
-	}
-}
-
-// validateBatchLocked validates each staged insert against the live
-// state and builds the staged metadata document installing every
-// survivor (marked in ok); the caller commits the document off-lock
-// and installs it. ws collects AutoBatchK re-encode appends that still
-// need fsyncing before the commit. Callers hold Store.mu (and writeMu
-// when AutoBatchK can append).
-func (s *Store) validateBatchLocked(st *arrayState, batch []*stagedInsert) (ok []*stagedInsert, staged *arrayMeta, ws *writeSet, installed int) {
-	liveIDs := make(map[int]bool)
-	for _, vm := range st.live() {
-		liveIDs[vm.ID] = true
-	}
-	for _, ins := range batch {
-		if ins.err != nil || ins.retry {
-			continue
-		}
-		if ins.gen != st.Gen || ins.format != st.Format {
-			// a rewrite committed a new generation: the staged blobs live
-			// in the superseded directory and die with it
-			ins.retry = true
-			continue
-		}
-		repSparse, repFill := st.SparseRep, st.Fill
-		repOpen := len(st.Versions) == 0
-		if repOpen && len(ok) > 0 {
-			repSparse, repFill, repOpen = ok[0].sparse, ok[0].fill, false
-		}
-		if !repOpen && (ins.sparse != repSparse || (ins.sparse && ins.fill != repFill)) {
-			ins.fail(fmt.Errorf("core: array %q uses the %s representation; staged payload does not",
-				st.Schema.Name, repName(repSparse)))
-			continue
-		}
-		if stale := staleBase(ins, liveIDs); stale != 0 {
-			// a delta base was deleted between stage and commit
-			ins.retry = true
-			continue
-		}
-		for _, vm := range ins.vms {
-			liveIDs[vm.ID] = true
-		}
-		ok = append(ok, ins)
-	}
-	if len(ok) == 0 {
-		return nil, nil, nil, 0
-	}
-	doc := st.metaClone()
-	staged = &doc
-	if len(staged.Versions) == 0 {
-		staged.SparseRep, staged.Fill = ok[0].sparse, ok[0].fill
-	}
-	ws = newWriteSet()
-	qc := newChunkCache()
-	for _, ins := range ok {
-		for _, vm := range ins.vms {
-			staged.Versions = append(staged.Versions, vm)
-			if vm.ID >= staged.NextID {
-				staged.NextID = vm.ID + 1
-			}
-			installed++
-			if err := s.batchReencodeStaged(st, staged, ws, qc); err != nil {
-				// a re-encode failure fails the whole batch: the document
-				// already interleaves its members
-				for _, ins := range ok {
-					ins.fail(err)
-				}
-				ws.sweep(s)
-				return nil, nil, nil, 0
-			}
-		}
-	}
-	return ok, staged, ws, installed
-}
-
-// staleBase returns a delta base referenced by the staged insert that
-// is no longer live (0 if none). liveIDs includes versions installed
-// earlier in the same batch.
+// staleBase returns a delta base referenced by the staged part that is
+// no longer live (0 if none). liveIDs includes versions of parts
+// accepted earlier in the same commit.
 func staleBase(ins *stagedInsert, liveIDs map[int]bool) int {
 	for _, vm := range ins.vms {
 		for _, chunks := range vm.Chunks {
@@ -1024,105 +1081,13 @@ func staleBase(ins *stagedInsert, liveIDs map[int]bool) int {
 	return 0
 }
 
-// insertBatchFallback is the contended path: after insertRetries
-// invalidated stagings, commit under the store lock, where generations
-// cannot move. It acquires both commit-stage latches (so no leader is
-// mid-pipeline and every drained batch has installed) plus the write
-// latch (so no new staging can reserve ids), then drains and commits
-// any straggler pending inserts before committing its own batch under
-// Store.mu.
-func (s *Store) insertBatchFallback(name string, ps []Payload) ([]int, error) {
-	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.syncMu, &st.commitMu, &st.writeMu}
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer st.syncMu.Unlock()
-	defer st.commitMu.Unlock()
-	defer st.writeMu.Unlock()
-	if batch := st.drainPending(); len(batch) > 0 {
-		s.syncStagedBatch(st, batch)
-		s.finalizeBatch(st, batch, true)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.arrays[name] != st {
-		return nil, fmt.Errorf("core: no array %q", name)
-	}
-	return s.insertBatchLocked(st, ps, "insert")
-}
-
-// insertBatchLocked stages and commits a batch while holding Store.mu
-// exclusively — the fallback for contended inserts (which additionally
-// holds the write and commit latches) and the path Branch and Merge
-// use on their freshly created arrays (which no concurrent stager can
-// reach: the array becomes visible only when the caller releases
-// Store.mu). Like the optimistic path, nothing is installed into the
-// live state until the metadata commit succeeds.
+// insertBatchLocked stages and commits a batch on an array the caller
+// owns exclusively: the freshly created array of Branch and Merge,
+// which no stager can reach because it becomes visible only when the
+// caller releases Store.mu. Callers hold the commit latch and Store.mu.
+// Like the queued path, nothing is installed into the live state until
+// the metadata commit succeeds.
 func (s *Store) insertBatchLocked(st *arrayState, ps []Payload, kind string) ([]int, error) {
-	sb, err := s.stageBatchLocked(st, ps, kind)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) ([]int, error) {
-		// safe without further locking: callers either hold writeMu or
-		// own the array exclusively (see above)
-		sb.ws.sweep(s)
-		s.noteDiskPressure(err)
-		return nil, err
-	}
-	if s.opts.Durability {
-		t0 := time.Now()
-		if err := sb.ws.sync(s); err != nil {
-			s.noteCommitFailure(st, err)
-			return fail(err)
-		}
-		if sb.ws.createdFiles() {
-			if err := s.fs.SyncDir(sb.dir); err != nil {
-				s.noteCommitFailure(st, err)
-				return fail(err)
-			}
-		}
-		s.prof.observeCommit(StageDataFsync, time.Since(t0), sb.ws.totalBytes())
-	}
-	t0 := time.Now()
-	if err := s.commitMeta(st, sb.staged); err != nil {
-		if isUncertain(err) {
-			s.noteCommitFailure(st, err)
-		}
-		return fail(err)
-	}
-	s.prof.observeCommit(StageMetaCommit, time.Since(t0), 0)
-	st.mutateLocked()
-	st.installMeta(*sb.staged)
-	s.publishLocked(st, sb.planes)
-	s.addGroupCommit(len(sb.ids))
-	s.prof.batchSize.Observe(float64(len(sb.ids)))
-	return sb.ids, nil
-}
-
-// stagedBatch is one array's staged-but-uncommitted insert batch: the
-// cloned metadata document holding the new versions, the write-set of
-// chunk blobs backing them, the reserved ids, and the directory whose
-// entries must be synced before the commit.
-type stagedBatch struct {
-	st     *arrayState
-	staged *arrayMeta
-	ws     *writeSet
-	ids    []int
-	dir    string
-	planes []chunkPlane // for write-through once installed
-}
-
-// stageBatchLocked stages ps into a cloned metadata document without
-// committing anything. Callers own the array exclusively (Store.mu
-// held, or the array not yet visible); on failure the write-set has
-// already been swept.
-func (s *Store) stageBatchLocked(st *arrayState, ps []Payload, kind string) (*stagedBatch, error) {
 	staged := st.metaClone()
 	v := s.viewOfMeta(st, &staged, staged.NextID)
 	ws := newWriteSet()
@@ -1131,7 +1096,7 @@ func (s *Store) stageBatchLocked(st *arrayState, ps []Payload, kind string) (*st
 	repFixed := len(staged.Versions) > 0
 	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, format: staged.Format, sparse: sparse,
 		keepPlanes: s.chunkCache != nil}
-	fail := func(err error) (*stagedBatch, error) {
+	fail := func(err error) ([]int, error) {
 		ws.sweep(s)
 		s.noteDiskPressure(err)
 		return nil, err
@@ -1151,7 +1116,26 @@ func (s *Store) stageBatchLocked(st *arrayState, ps []Payload, kind string) (*st
 			return fail(err)
 		}
 	}
-	return &stagedBatch{st: st, staged: &staged, ws: ws, ids: ids, dir: ctx.dir, planes: ctx.planes}, nil
+	t0 := time.Now()
+	if err := ws.sync(s, ctx.dir); err != nil {
+		s.noteCommitFailure(st, err)
+		return fail(err)
+	}
+	s.prof.observeCommit(StageDataFsync, time.Since(t0), ws.totalBytes())
+	t0 = time.Now()
+	if err := s.man.commit(manifestOp{Name: st.Schema.Name, Meta: &staged}); err != nil {
+		if isUncertain(err) {
+			s.noteCommitFailure(st, err)
+		}
+		return fail(err)
+	}
+	s.prof.observeCommit(StageMetaCommit, time.Since(t0), 0)
+	st.mutateLocked()
+	st.installMeta(staged)
+	s.publishLocked(st, ctx.planes)
+	s.addGroupCommit(len(ids))
+	s.prof.batchSize.Observe(float64(len(ids)))
+	return ids, nil
 }
 
 // batchReencodeStaged implements §IV-E's batched update heuristic on a
@@ -1510,6 +1494,11 @@ func (s *Store) encodeSparseChunk(ctx *insertCtx, attr string, sp *array.Sparse,
 // "branches are formed off of a particular version of an existing array
 // ... they create a new array with a new name").
 func (s *Store) Branch(srcName string, srcVersion int, newName string) error {
+	if err := s.writeGate(newName); err != nil {
+		return err
+	}
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -1565,6 +1554,11 @@ type VersionRef struct {
 // result's history records all parents, making the version hierarchy a
 // graph rather than a tree.
 func (s *Store) Merge(newName string, parents []VersionRef) error {
+	if err := s.writeGate(newName); err != nil {
+		return err
+	}
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

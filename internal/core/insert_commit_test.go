@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/fsio"
@@ -369,10 +371,10 @@ func TestInsertBatchAtomicAndChained(t *testing.T) {
 }
 
 // TestGroupCommitStress runs 8 durable writers across 4 arrays — the
-// -race safety net for the off-lock staging path and the group-commit
-// coalescer. Every acknowledged insert must read back byte-identical,
-// the commit counters must account for every version, and a recovery
-// reopen must agree with the live store.
+// -race safety net for the off-lock staging path and the store-wide
+// commit queue. Every acknowledged insert must read back
+// byte-identical, the commit counters must account for every version,
+// and a recovery reopen must agree with the live store.
 func TestGroupCommitStress(t *testing.T) {
 	const (
 		writers    = 8
@@ -381,68 +383,220 @@ func TestGroupCommitStress(t *testing.T) {
 		side       = 16
 		arrayNameF = "S%d"
 	)
-	for _, disable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("disableGroupCommit=%v", disable), func(t *testing.T) {
-			opts := smallOpts()
-			opts.ChunkBytes = 1 << 10
-			opts.Durability = true
-			opts.DisableGroupCommit = disable
-			s := testStore(t, opts)
-			for a := 0; a < arrays; a++ {
-				if err := s.CreateArray(schema2D(fmt.Sprintf(arrayNameF, a), side)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var (
-				mu        sync.Mutex
-				committed = make([]map[int]*array.Dense, arrays)
-				wg        sync.WaitGroup
-				failc     = make(chan error, writers)
-			)
-			for a := range committed {
-				committed[a] = map[int]*array.Dense{}
-			}
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					a := w % arrays
-					name := fmt.Sprintf(arrayNameF, a)
-					for i := 0; i < perWriter; i++ {
-						content := crashContent(int64(w*1000+i), side)
-						id, err := s.Insert(name, DensePayload(content))
-						if err != nil {
-							failc <- err
-							return
-						}
-						mu.Lock()
-						committed[a][id] = content
-						mu.Unlock()
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(failc)
-			for err := range failc {
-				t.Fatal(err)
-			}
-			st := s.Stats()
-			total := int64(writers * perWriter)
-			if st.GroupCommitVersions != total {
-				t.Fatalf("GroupCommitVersions = %d, want %d", st.GroupCommitVersions, total)
-			}
-			if st.GroupCommits == 0 || st.GroupCommits > total {
-				t.Fatalf("GroupCommits = %d out of range (1..%d)", st.GroupCommits, total)
-			}
-			if disable && st.GroupCommits != total {
-				t.Fatalf("DisableGroupCommit coalesced anyway: %d commits for %d inserts", st.GroupCommits, total)
-			}
-			for a := 0; a < arrays; a++ {
-				assertStoreAgrees(t, s, fmt.Sprintf(arrayNameF, a), committed[a])
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	s := testStore(t, opts)
+	for a := 0; a < arrays; a++ {
+		if err := s.CreateArray(schema2D(fmt.Sprintf(arrayNameF, a), side)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	var (
+		mu        sync.Mutex
+		committed = make([]map[int]*array.Dense, arrays)
+		wg        sync.WaitGroup
+		failc     = make(chan error, writers)
+	)
+	for a := range committed {
+		committed[a] = map[int]*array.Dense{}
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			a := w % arrays
+			name := fmt.Sprintf(arrayNameF, a)
+			for i := 0; i < perWriter; i++ {
+				content := crashContent(int64(w*1000+i), side)
+				id, err := s.Insert(name, DensePayload(content))
+				if err != nil {
+					failc <- err
+					return
+				}
+				mu.Lock()
+				committed[a][id] = content
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(failc)
+	for err := range failc {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	total := int64(writers * perWriter)
+	if st.GroupCommitVersions != total {
+		t.Fatalf("GroupCommitVersions = %d, want %d", st.GroupCommitVersions, total)
+	}
+	if st.GroupCommits == 0 || st.GroupCommits > total {
+		t.Fatalf("GroupCommits = %d out of range (1..%d)", st.GroupCommits, total)
+	}
+	for a := 0; a < arrays; a++ {
+		assertStoreAgrees(t, s, fmt.Sprintf(arrayNameF, a), committed[a])
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// blockLogSyncFS blocks the first fsync of a manifest log after arm
+// until release is closed, signalling blocked once it is stuck there.
+type blockLogSyncFS struct {
+	fsio.FS
+	mu      sync.Mutex
+	armed   bool
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (f *blockLogSyncFS) Append(path string) (fsio.File, error) {
+	file, err := f.FS.Append(path)
+	base := filepath.Base(path)
+	if err != nil || !strings.HasPrefix(base, manifestPrefix) || !strings.HasSuffix(base, ".log") {
+		return file, err
+	}
+	return &blockLogSyncFile{File: file, fs: f}, nil
+}
+
+type blockLogSyncFile struct {
+	fsio.File
+	fs *blockLogSyncFS
+}
+
+func (fl *blockLogSyncFile) Sync() error {
+	fl.fs.mu.Lock()
+	hold := fl.fs.armed
+	fl.fs.armed = false
+	fl.fs.mu.Unlock()
+	if hold {
+		close(fl.fs.blocked)
+		<-fl.fs.release
+	}
+	return fl.File.Sync()
+}
+
+// TestCommitQueueFoldsArraysIntoOneRecord pins the single store-wide
+// commit pipeline: while one insert holds the commit latch (its
+// manifest fsync blocked), inserts on three other arrays and a second
+// insert on the same array all queue behind it, and the next latch
+// holder commits all four with ONE manifest append.
+func TestCommitQueueFoldsArraysIntoOneRecord(t *testing.T) {
+	const side = 8
+	bfs := &blockLogSyncFS{FS: fsio.OS, blocked: make(chan struct{}), release: make(chan struct{})}
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	opts.FS = bfs
+	s := testStore(t, opts)
+	defer s.Close()
+	names := []string{"A", "B", "C", "D"}
+	for _, n := range names {
+		if err := s.CreateArray(schema2D(n, side)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Stats()
+	bfs.mu.Lock()
+	bfs.armed = true
+	bfs.mu.Unlock()
+
+	type result struct {
+		name string
+		id   int
+		want *array.Dense
+		err  error
+	}
+	results := make(chan result, 5)
+	insert := func(name string, seed int64) {
+		want := crashContent(seed, side)
+		id, err := s.Insert(name, DensePayload(want))
+		results <- result{name, id, want, err}
+	}
+	go insert("A", 1)
+	<-bfs.blocked
+	go insert("A", 2)
+	for i, n := range names[1:] {
+		go insert(n, int64(3+i))
+	}
+	for queued := 0; queued < 4; {
+		s.man.qmu.Lock()
+		queued = len(s.man.queue)
+		s.man.qmu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	close(bfs.release)
+	var got []result
+	for range 5 {
+		r := <-results
+		if r.err != nil {
+			t.Fatalf("insert into %s: %v", r.name, r.err)
+		}
+		got = append(got, r)
+	}
+	if n := s.Stats().ManifestAppends - before.ManifestAppends; n != 2 {
+		t.Fatalf("5 inserts on 4 arrays took %d manifest appends, want 2 (one blocked, one for the queue)", n)
+	}
+	check := func(label string, st *Store) {
+		for _, r := range got {
+			pl, err := st.Select(r.name, r.id)
+			if err != nil {
+				t.Fatalf("%s: %s@%d: %v", label, r.name, r.id, err)
+			}
+			if !pl.Dense.Equal(r.want) {
+				t.Fatalf("%s: %s@%d not byte-identical", label, r.name, r.id)
+			}
+		}
+	}
+	check("live", s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts.FS = nil
+	r, err := Open(s.Dir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check("reopen", r)
+}
+
+// TestHealRejectsInsertsStagedBeforeIt pins the heal count: a heal
+// sweeps every blob no committed version references, including those
+// of an insert that staged before it and is still waiting to commit.
+// That insert must be rejected, not committed over its truncated blobs.
+func TestHealRejectsInsertsStagedBeforeIt(t *testing.T) {
+	const side = 8
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	opts.HealInterval = -1
+	s := testStore(t, opts)
+	defer s.Close()
+	if err := s.CreateArray(schema2D("B", side)); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]*array.Dense{1: crashContent(1, side)}
+	if _, err := s.Insert("B", DensePayload(want[1])); err != nil {
+		t.Fatal(err)
+	}
+	req, err := s.stageRequest(context.Background(), []MultiInsert{{Array: "B", Payloads: []Payload{DensePayload(crashContent(2, side))}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.degradeArray("B", errInjected)
+	if _, err := s.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	s.awaitCommit(req)
+	if _, err := s.settle(req); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("insert staged before the heal committed anyway: err=%v", err)
+	}
+	id, err := s.Insert("B", DensePayload(crashContent(3, side)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[id] = crashContent(3, side)
+	assertStoreAgrees(t, s, "B", want)
 }

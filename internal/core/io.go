@@ -30,10 +30,11 @@ import (
 //
 // Durability contract: with Options.Durability on, every append is
 // fsynced before writeBlob returns, and mutators sync the chunks
-// directory before committing metadata, so the metadata commit in
-// saveMeta — a manifest-log append — is the commit point: everything a committed version
-// references is already durable, and anything past the last committed
-// frame in a file is garbage that recovery truncates.
+// directory before committing metadata, so the metadata commit — a
+// manifest-log append (manifest.commit) — is the commit point:
+// everything a committed version references is already durable, and
+// anything past the last committed frame in a file is garbage that
+// recovery truncates.
 
 // chainFileName returns the co-located chain file for one (attr, chunk).
 func chainFileName(attr, chunkKey string) string {

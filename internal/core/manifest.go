@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -37,14 +38,21 @@ import (
 // log must continue at seq+1, so replay can tell a clean tail from a
 // missing record.
 //
-// THE commit point of every mutation is the manifest append (fsynced
-// under Durability). Chunk payloads are still synced before it, so the
-// PR 3 ordering invariant survives: once a record is durable,
-// everything it references is too. Because all arrays share the one
-// log, a single append can carry records for many arrays — the group
-// commit coalescer merges concurrent commits across arrays into one
-// fsync, and InsertMulti commits a multi-array batch as one record
-// with all-or-nothing visibility.
+// THE commit point of every mutation is the manifest append (commit,
+// fsynced under Durability), made under the one commit latch (mu).
+// Chunk payloads are still synced before it, so the data-first
+// ordering invariant survives: once a record is durable, everything it
+// references is too. Because all arrays share the one log, a single
+// record can commit many arrays: the insert commit queue's latch
+// holder folds every queued insert, on any array, into one record and
+// one fsync, and an InsertMulti's parts land in the same record with
+// all-or-nothing visibility.
+//
+// Replay (replayManifest, shared by Open and VerifyManifest) stops at
+// the first checksum-invalid frame only when nothing valid follows it:
+// a torn append is always the tail. A valid frame behind a bad one is
+// a damaged committed record, and the open fails rather than truncate
+// the committed records behind it.
 //
 // Failure handling splits at the first written byte: an append that
 // fails before any byte is written (open failure) is benign; a failed write,
@@ -91,29 +99,26 @@ type manifestSnapshot struct {
 	Arrays []manifestOp `json:"arrays"`
 }
 
-// manifestCommit is one enqueued commit waiting for a leader to append
-// it; done is closed once err is final.
-type manifestCommit struct {
-	ops  []manifestOp
-	done chan struct{}
-	err  error
-}
-
-// manifest is the store-wide commit log. Its writer latch (mu) is a
-// leaf below every array latch and Store.mu: commit leaders call
-// commit() while holding per-array commitMu (and sometimes Store.mu),
-// and the manifest never takes any store or array lock back.
+// manifest is the store-wide commit log and the store's one commit
+// pipeline. Its writer latch (mu) is THE commit latch: every metadata
+// writer — the insert queue's latch holder, DeleteVersion, the
+// Reorganize and Compact commits, CreateArray, DeleteArray,
+// Branch/Merge, heal and recovery — holds it across its append, so
+// nothing else can change committed metadata while it validates,
+// appends, and installs. It ranks in the per-array latch slot:
+// reorgMu < mu < writeMu < Store.mu. The manifest itself never takes a
+// store or array lock.
 type manifest struct {
 	s   *Store
 	dir string
 
-	// qmu guards the pending commit queue; commit() enqueues under it
-	// and whichever committer wins mu drains the whole queue into one
-	// append (cross-array group commit).
+	// qmu guards the insert commit queue: an insert enqueues its synced
+	// request under it, and whichever inserter holds mu drains the whole
+	// queue into one record (commitQueued). An unranked leaf.
 	qmu   sync.Mutex
-	queue []*manifestCommit
+	queue []*commitReq
 
-	// mu is the log writer latch; everything below is guarded by it.
+	// mu is the commit latch; everything below is guarded by it.
 	mu sync.Mutex
 	// gen is the live generation (CURRENT's value).
 	gen int
@@ -148,77 +153,22 @@ func manifestRotateAt(opts Options) int64 {
 	return defaultManifestRotateBytes
 }
 
-// commitMeta commits one array's staged metadata document as one
-// record of the store-wide log. Callers hold the array's commitMu (the
-// metadata writer latch).
-func (s *Store) commitMeta(st *arrayState, m *arrayMeta) error {
-	return s.man.commit([]manifestOp{{Name: st.Schema.Name, Meta: m}})
-}
-
-// commit appends ops as one record and returns once it is durable (or
-// failed). Concurrent commits — even to different arrays — coalesce:
-// the committer that wins the writer latch drains the whole queue and
-// pays one write + one fsync for every record in it.
-func (man *manifest) commit(ops []manifestOp) error {
-	c := &manifestCommit{ops: ops, done: make(chan struct{})}
-	man.qmu.Lock()
-	man.queue = append(man.queue, c)
-	man.qmu.Unlock()
-	for {
-		select {
-		case <-c.done:
-			return c.err
-		default:
-		}
-		man.mu.Lock()
-		select {
-		case <-c.done:
-			man.mu.Unlock()
-			return c.err
-		default:
-		}
-		man.qmu.Lock()
-		batch := man.queue
-		man.queue = nil
-		man.qmu.Unlock()
-		man.appendLocked(batch)
-		man.mu.Unlock()
-	}
-}
-
-// appendLocked encodes every queued commit into one buffer, appends it
-// to the log with a single write and (under Durability) a single
+// commit appends ops as ONE record — every op becomes visible together
+// at replay — with a single write and (under Durability) a single
 // fsync, and installs the committed documents into the mirror state.
-// Callers hold man.mu.
-func (man *manifest) appendLocked(batch []*manifestCommit) {
-	if len(batch) == 0 {
-		return
-	}
-	finish := func(err error) {
-		for _, c := range batch {
-			c.err = err
-			close(c.done)
-		}
-	}
+// It is the commit point of every metadata mutation. Callers hold
+// man.mu (the commit latch).
+func (man *manifest) commit(ops ...manifestOp) error {
 	if man.poisoned != nil {
 		// definite failure: nothing was appended. The earlier failure
 		// already degraded the store; report that state, not a fresh
 		// uncertainty.
-		finish(fmt.Errorf("core: manifest log has an unhealed tail: %w", ErrDegraded))
-		return
+		return fmt.Errorf("core: manifest log has an unhealed tail: %w", ErrDegraded)
 	}
 	s := man.s
-	startSeq := man.nextSeq
-	var buf []byte
-	for _, c := range batch {
-		man.nextSeq++
-		var err error
-		buf, err = appendJSONFrame(buf, &manifestRecord{Seq: man.nextSeq, Ops: c.ops})
-		if err != nil {
-			man.nextSeq = startSeq
-			finish(err)
-			return
-		}
+	buf, err := appendJSONFrame(nil, &manifestRecord{Seq: man.nextSeq + 1, Ops: ops})
+	if err != nil {
+		return err
 	}
 	logPath := filepath.Join(man.dir, manifestLogName(man.gen))
 	if man.lazyTrunc {
@@ -226,18 +176,14 @@ func (man *manifest) appendLocked(batch []*manifestCommit) {
 		// (read-only opens must not mutate); cut it now, before the
 		// first append would otherwise land behind garbage
 		if err := s.fs.Truncate(logPath, man.validOff); err != nil {
-			man.nextSeq = startSeq
-			finish(err)
-			return
+			return err
 		}
 		man.lazyTrunc = false
 	}
 	f, err := s.fs.Append(logPath)
 	if err != nil {
 		// benign: the log was never opened, nothing changed on disk
-		man.nextSeq = startSeq
-		finish(err)
-		return
+		return err
 	}
 	_, werr := f.Write(buf)
 	if werr == nil && s.opts.Durability {
@@ -247,31 +193,27 @@ func (man *manifest) appendLocked(batch []*manifestCommit) {
 		werr = cerr
 	}
 	if werr != nil {
-		// uncertain: some prefix of the batch may be durable. The tail
-		// past validOff is poisoned — appending behind it would commit
-		// records that replay may never reach — so the whole store
-		// degrades until the heal truncates the log back to validOff.
-		man.nextSeq = startSeq
+		// uncertain: the record may be durable. The tail past validOff
+		// is poisoned — appending behind it would commit records that
+		// replay may never reach — so the whole store degrades until
+		// the heal truncates the log back to validOff.
 		man.poisonLocked(werr)
-		finish(uncertain(werr))
-		return
+		return uncertain(werr)
 	}
-	for _, c := range batch {
-		for i := range c.ops {
-			op := &c.ops[i]
-			if op.Drop {
-				delete(man.state, op.Name)
-			} else {
-				man.state[op.Name] = op.Meta
-			}
+	man.nextSeq++
+	for _, op := range ops {
+		if op.Drop {
+			delete(man.state, op.Name)
+		} else {
+			man.state[op.Name] = op.Meta
 		}
 	}
 	man.validOff += int64(len(buf))
-	s.addManifestCommit(len(batch))
-	finish(nil)
+	s.addManifestAppend()
 	if man.rotateAt >= 0 && man.validOff > man.rotateAt {
 		man.rotateLocked()
 	}
+	return nil
 }
 
 // appendJSONFrame encodes v as JSON and appends it to dst as one frame.
@@ -507,80 +449,130 @@ func decodeManifestSnapshot(raw []byte) (manifestSnapshot, error) {
 	return snap, nil
 }
 
-// openManifest replays an existing manifest (CURRENT present):
-// snapshot first, then the log in sequence order. A torn tail is
-// truncated under Durability (recorded in recovery stats) or replayed
-// around and cut lazily by the first append otherwise. A checksum-valid
-// record with a non-contiguous sequence number is corruption, not a
-// torn tail, and fails the open.
-func openManifest(s *Store) (*manifest, error) {
-	gen, err := readCurrent(s.dir)
+// manifestReplay is one generation's chain rebuilt from disk: the
+// state its snapshot plus log yields, and where the replayable log
+// prefix ends.
+type manifestReplay struct {
+	state      map[string]*arrayMeta
+	snapSeq    int64
+	lastSeq    int64
+	logRecords int64
+	// validOff is the byte length of the replayed log prefix; torn
+	// counts the bytes past it (a torn final append).
+	validOff int64
+	torn     int64
+}
+
+// replayManifest rebuilds generation gen from its snapshot and log —
+// the one replay loop, shared by Open and VerifyManifest. A frame that
+// fails its checksum ends the replay as a torn tail only when no
+// checksum-valid frame follows it: a torn append is always the last
+// thing in the log, so a valid frame behind a bad one means a damaged
+// committed record. That, an undecodable record, a sequence gap and an
+// op without a document are corruption: replay fails naming the log
+// and the offset, and nothing is truncated or swept.
+func replayManifest(dir string, gen int) (*manifestReplay, error) {
+	snapName, logName := manifestSnapName(gen), manifestLogName(gen)
+	snapRaw, err := os.ReadFile(filepath.Join(dir, snapName))
 	if err != nil {
-		return nil, err
-	}
-	man := &manifest{
-		s:        s,
-		dir:      s.dir,
-		gen:      gen,
-		state:    make(map[string]*arrayMeta),
-		rotateAt: manifestRotateAt(s.opts),
-	}
-	snapRaw, err := os.ReadFile(filepath.Join(s.dir, manifestSnapName(gen)))
-	if err != nil {
-		return nil, fmt.Errorf("core: manifest snapshot: %w", err)
+		return nil, fmt.Errorf("snapshot %s unreadable: %w", snapName, err)
 	}
 	snap, err := decodeManifestSnapshot(snapRaw)
 	if err != nil {
-		return nil, fmt.Errorf("core: manifest snapshot %s: %w", manifestSnapName(gen), err)
+		return nil, fmt.Errorf("snapshot %s: %w", snapName, err)
 	}
+	r := &manifestReplay{state: make(map[string]*arrayMeta, len(snap.Arrays)), snapSeq: snap.Seq, lastSeq: snap.Seq}
 	for _, op := range snap.Arrays {
-		man.state[op.Name] = op.Meta
+		r.state[op.Name] = op.Meta
 	}
-	man.nextSeq = snap.Seq
-
-	logPath := filepath.Join(s.dir, manifestLogName(gen))
-	logRaw, err := os.ReadFile(logPath)
+	logRaw, err := os.ReadFile(filepath.Join(dir, logName))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("core: manifest log: %w", err)
+		return nil, fmt.Errorf("log %s unreadable: %w", logName, err)
 	}
 	var off int64
 	for off < int64(len(logRaw)) {
 		payload, size, ok := scanManifestFrame(logRaw[off:])
 		if !ok {
+			if validFrameAfter(logRaw, off) {
+				return nil, fmt.Errorf("log %s offset %d: damaged record followed by valid records", logName, off)
+			}
 			break // torn tail
 		}
 		var rec manifestRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			return nil, fmt.Errorf("core: manifest log %s at offset %d: corrupt record: %w", manifestLogName(gen), off, err)
+			return nil, fmt.Errorf("log %s offset %d: undecodable record: %w", logName, off, err)
 		}
-		if rec.Seq != man.nextSeq+1 {
-			return nil, fmt.Errorf("core: manifest log %s at offset %d: sequence %d, want %d", manifestLogName(gen), off, rec.Seq, man.nextSeq+1)
+		if rec.Seq != r.lastSeq+1 {
+			return nil, fmt.Errorf("log %s offset %d: sequence %d, want %d", logName, off, rec.Seq, r.lastSeq+1)
 		}
-		for i := range rec.Ops {
-			op := &rec.Ops[i]
-			if op.Drop {
-				delete(man.state, op.Name)
-				continue
+		for _, op := range rec.Ops {
+			switch {
+			case op.Drop:
+				delete(r.state, op.Name)
+			case op.Meta == nil:
+				return nil, fmt.Errorf("log %s record %d: array %q has no document", logName, rec.Seq, op.Name)
+			default:
+				if err := op.Meta.Schema.Validate(); err != nil {
+					return nil, fmt.Errorf("log %s record %d: array %q: %w", logName, rec.Seq, op.Name, err)
+				}
+				r.state[op.Name] = op.Meta
 			}
-			if op.Meta == nil {
-				return nil, fmt.Errorf("core: manifest log %s: record %d: array %q has no document", manifestLogName(gen), rec.Seq, op.Name)
-			}
-			if err := op.Meta.Schema.Validate(); err != nil {
-				return nil, fmt.Errorf("core: manifest log %s: record %d: array %q: %w", manifestLogName(gen), rec.Seq, op.Name, err)
-			}
-			man.state[op.Name] = op.Meta
 		}
-		man.nextSeq = rec.Seq
+		r.lastSeq = rec.Seq
+		r.logRecords++
 		off += size
 	}
-	man.validOff = off
-	if torn := int64(len(logRaw)) - off; torn > 0 {
+	r.validOff = off
+	r.torn = int64(len(logRaw)) - off
+	return r, nil
+}
+
+// validFrameAfter reports whether a checksum-valid frame starts
+// anywhere in buf past off. The damaged frame's own length field may be
+// what broke, so every later magic is tried.
+func validFrameAfter(buf []byte, off int64) bool {
+	for i := off + 1; i < int64(len(buf)); i++ {
+		j := bytes.Index(buf[i:], []byte(frameMagic))
+		if j < 0 {
+			return false
+		}
+		i += int64(j)
+		if _, _, ok := scanManifestFrame(buf[i:]); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// openManifest replays an existing manifest (CURRENT present). A torn
+// tail is truncated under Durability (recorded in recovery stats) or
+// replayed around and cut lazily by the first append otherwise;
+// corruption fails the open before anything is touched.
+func openManifest(s *Store) (*manifest, error) {
+	gen, err := readCurrent(s.dir)
+	if err != nil {
+		return nil, err
+	}
+	r, err := replayManifest(s.dir, gen)
+	if err != nil {
+		return nil, fmt.Errorf("core: manifest %w", err)
+	}
+	man := &manifest{
+		s:        s,
+		dir:      s.dir,
+		gen:      gen,
+		nextSeq:  r.lastSeq,
+		validOff: r.validOff,
+		state:    r.state,
+		rotateAt: manifestRotateAt(s.opts),
+	}
+	if r.torn > 0 {
 		if s.opts.Durability {
-			if err := s.fs.Truncate(logPath, off); err != nil {
+			if err := s.fs.Truncate(filepath.Join(s.dir, manifestLogName(gen)), r.validOff); err != nil {
 				return nil, fmt.Errorf("core: truncate torn manifest tail: %w", err)
 			}
 			s.recovery.TruncatedFiles++
-			s.recovery.TruncatedBytes += torn
+			s.recovery.TruncatedBytes += r.torn
 		} else {
 			man.lazyTrunc = true
 		}
@@ -682,9 +674,10 @@ func (s *Store) migrateToManifest() (*manifest, error) {
 
 // --- stats ---
 
-func (s *Store) addManifestCommit(records int) {
+// addManifestAppend counts one log append (one record).
+func (s *Store) addManifestAppend() {
 	s.statsMu.Lock()
-	s.stats.ManifestRecords += int64(records)
+	s.stats.ManifestRecords++
 	s.stats.ManifestAppends++
 	if s.opts.Durability {
 		s.stats.ManifestFsyncs++
@@ -758,64 +751,14 @@ func (s *Store) VerifyManifest() (ManifestReport, error) {
 	rep.Enabled = true
 	rep.Gen = gen
 
-	state := make(map[string]*arrayMeta)
-	snapRaw, err := os.ReadFile(filepath.Join(s.dir, manifestSnapName(gen)))
+	r, err := replayManifest(s.dir, gen)
 	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("snapshot %s unreadable: %v", manifestSnapName(gen), err))
+		rep.Problems = append(rep.Problems, err.Error())
 		return rep, nil
 	}
-	snap, err := decodeManifestSnapshot(snapRaw)
-	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("snapshot %s: %v", manifestSnapName(gen), err))
-		return rep, nil
-	}
-	for _, op := range snap.Arrays {
-		state[op.Name] = op.Meta
-	}
-	rep.SnapshotSeq = snap.Seq
-	rep.LastSeq = snap.Seq
-
-	logName := manifestLogName(gen)
-	logRaw, err := os.ReadFile(filepath.Join(s.dir, logName))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("log %s unreadable: %v", logName, err))
-		return rep, nil
-	}
-	var off int64
-	for off < int64(len(logRaw)) {
-		payload, size, ok := scanManifestFrame(logRaw[off:])
-		if !ok {
-			break
-		}
-		var rec manifestRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("log %s offset %d: undecodable record: %v", logName, off, err))
-			return rep, nil
-		}
-		if rec.Seq != rep.LastSeq+1 {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("log %s offset %d: sequence %d, want %d", logName, off, rec.Seq, rep.LastSeq+1))
-			return rep, nil
-		}
-		for i := range rec.Ops {
-			op := &rec.Ops[i]
-			switch {
-			case op.Drop:
-				delete(state, op.Name)
-			case op.Meta == nil:
-				rep.Problems = append(rep.Problems, fmt.Sprintf("log %s record %d: array %q has no document", logName, rec.Seq, op.Name))
-			default:
-				if err := op.Meta.Schema.Validate(); err != nil {
-					rep.Problems = append(rep.Problems, fmt.Sprintf("log %s record %d: array %q: %v", logName, rec.Seq, op.Name, err))
-				}
-				state[op.Name] = op.Meta
-			}
-		}
-		rep.LastSeq = rec.Seq
-		rep.LogRecords++
-		off += size
-	}
-	rep.TornBytes = int64(len(logRaw)) - off
-	rep.Arrays = len(state)
+	state := r.state
+	rep.SnapshotSeq, rep.LastSeq, rep.LogRecords = r.snapSeq, r.lastSeq, r.logRecords
+	rep.TornBytes, rep.Arrays = r.torn, len(state)
 
 	// orphaned-record sweep: every committed array must resolve to a
 	// directory, and leftover files (superseded generations, legacy
@@ -840,7 +783,7 @@ func (s *Store) VerifyManifest() (ManifestReport, error) {
 			continue
 		}
 		if name == currentFile+".tmp" ||
-			(strings.HasPrefix(name, manifestPrefix) && name != manifestSnapName(gen) && name != logName) {
+			(strings.HasPrefix(name, manifestPrefix) && name != manifestSnapName(gen) && name != manifestLogName(gen)) {
 			rep.StrayFiles = append(rep.StrayFiles, name)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -815,4 +816,65 @@ func TestLegacyCrashDebrisRecoveredThroughManifest(t *testing.T) {
 		t.Fatalf("reopen dropped %d more versions", got)
 	}
 	checkContents(t, r, want, "reopened")
+}
+
+// TestManifestDamagedRecordFailsOpen pins the replay rule for a
+// checksum-invalid frame that valid records follow: it is a damaged
+// committed record, not a torn tail. VerifyManifest reports it, and
+// both kinds of open fail naming the offset before truncating the log
+// or sweeping the arrays the records behind it commit.
+func TestManifestDamagedRecordFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	opts := smallOpts()
+	opts.Durability = true
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	names := []string{"A", "B", "C"}
+	for _, n := range names {
+		if err := s.CreateArray(schema2D(n, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logPath := filepath.Join(dir, manifestLogName(s.man.gen))
+	raw, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// flip one byte inside the first record's payload
+	raw[frameHeaderLen+5] ^= 0xff
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.VerifyManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ok() || !strings.Contains(rep.Problems[0], "offset 0") {
+		t.Fatalf("verify missed the damaged record: ok=%v torn=%d problems=%v", rep.Ok(), rep.TornBytes, rep.Problems)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, durable := range []bool{true, false} {
+		o := opts
+		o.Durability = durable
+		if r, err := Open(dir, o); err == nil {
+			r.Close()
+			t.Fatalf("durable=%v open accepted a damaged manifest record", durable)
+		} else if !strings.Contains(err.Error(), "offset 0") {
+			t.Fatalf("durable=%v open error does not name the offset: %v", durable, err)
+		}
+	}
+	after, err := os.ReadFile(logPath)
+	if err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("failed opens modified the log (err=%v)", err)
+	}
+	for _, n := range names {
+		if info, err := os.Stat(filepath.Join(dir, n)); err != nil || !info.IsDir() {
+			t.Fatalf("failed open swept array directory %s (err=%v)", n, err)
+		}
+	}
 }

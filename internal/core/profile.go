@@ -16,7 +16,7 @@ import (
 // apply, so totals add up without double counting across the recursion.
 // Commit stages follow one insert from staging through the group
 // commit; the shared stages (data_fsync, meta_commit, install) are
-// attributed in full to every batch member, since each member's latency
+// attributed in full to every request the commit carried, since each one's latency
 // really does include the whole shared wait.
 const (
 	StageSnapshot    = "snapshot"    // metadata view under the store lock
@@ -27,8 +27,8 @@ const (
 	StageMaterialize = "materialize" // slice + copy into the result array
 
 	StageStageEncode = "stage_encode" // resolve + encode + unsynced append
-	StageQueueWait   = "queue_wait"   // enqueue until a leader drains it
-	StageDataFsync   = "data_fsync"   // group fsync of the batch's chunk files
+	StageQueueWait   = "queue_wait"   // enqueue until the latch holder drains it
+	StageDataFsync   = "data_fsync"   // shared fsync of the drained requests' chunk files
 	StageMetaCommit  = "meta_commit"  // manifest-log append
 	StageInstall     = "install"      // in-memory install of the committed doc
 )

@@ -8,7 +8,7 @@ import (
 )
 
 // Open-time crash recovery (Options.Durability). The commit protocol
-// (see commitMeta) guarantees that the committed metadata — a fsynced
+// (see manifest.commit) guarantees that the committed metadata — a fsynced
 // manifest record — only references payloads that were fsynced before
 // the commit, so after a crash the committed state is intact and
 // everything else on disk is debris from the interrupted mutation:
@@ -29,8 +29,11 @@ import (
 // case for durable writers, which the crash-point matrix test asserts).
 
 // recoverLocked recovers every array. Called from Open before the store
-// is visible to anyone.
+// is visible to anyone; it still takes the commit latch, like every
+// metadata writer.
 func (s *Store) recoverLocked() error {
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
 	for _, st := range s.arrays {
 		if err := s.recoverArray(st); err != nil {
 			return fmt.Errorf("array %q: %w", st.Schema.Name, err)
@@ -51,7 +54,7 @@ func (s *Store) recoverArray(st *arrayState) error {
 		return err
 	}
 	if dropped {
-		if err := s.saveMeta(st); err != nil {
+		if err := s.man.commit(st.metaOp()); err != nil {
 			return err
 		}
 	}

@@ -161,11 +161,10 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 		}
 	}
 	// the array is mutating faster than the off-lock builds can keep up;
-	// rebuild under the exclusive lock so the call terminates. commitMu
-	// serializes the metadata commit with insert leaders, whose
-	// commits run outside Store.mu.
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
+	// rebuild under the commit latch and the exclusive lock so the call
+	// terminates
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -238,13 +237,13 @@ func (s *Store) tryReorganize(name string, st *arrayState, opts ReorganizeOption
 		s.noteDiskPressure(err)
 		return false, err
 	}
-	// commitMu serializes this rewrite's metadata commit with insert
-	// leaders, whose commits run outside Store.mu
-	st.commitMu.Lock()
+	// the commit latch serializes this rewrite's metadata commit with
+	// every other metadata writer, the insert queue's included
+	s.man.mu.Lock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		st.commitMu.Unlock()
+		s.man.mu.Unlock()
 		_ = s.fs.RemoveAll(buildDir)
 		return false, ErrClosed
 	}
@@ -252,7 +251,7 @@ func (s *Store) tryReorganize(name string, st *arrayState, opts ReorganizeOption
 		// a concurrent mutation invalidated the build: its planes (and
 		// therefore its encodings) may describe superseded contents
 		s.mu.Unlock()
-		st.commitMu.Unlock()
+		s.man.mu.Unlock()
 		_ = s.fs.RemoveAll(buildDir)
 		return false, nil
 	}
@@ -260,7 +259,7 @@ func (s *Store) tryReorganize(name string, st *arrayState, opts ReorganizeOption
 	oldDir, err := s.commitRewriteLocked(st, buildDir, ids, entries)
 	if err != nil {
 		s.mu.Unlock()
-		st.commitMu.Unlock()
+		s.man.mu.Unlock()
 		// a failure before the generation rename leaves the build dir
 		// behind, and non-durable stores never sweep chunks* debris
 		_ = s.fs.RemoveAll(buildDir)
@@ -271,7 +270,7 @@ func (s *Store) tryReorganize(name string, st *arrayState, opts ReorganizeOption
 	// current generation (the epoch in every cache key enforces this)
 	s.invalidateArrayLocked(name)
 	s.mu.Unlock()
-	st.commitMu.Unlock()
+	s.man.mu.Unlock()
 	// post-commit garbage collection: waiting out in-flight readers that
 	// pinned the old generation happens with no store lock held, so new
 	// selects (on this and every other array) proceed meanwhile. The
@@ -643,8 +642,8 @@ func (s *Store) commitRewriteLocked(st *arrayState, buildDir string, ids []int, 
 //     committed generation name and sync the array directory — the new
 //     payloads are now durable but unreferenced;
 //  2. stage the new metadata (generation number, framed format, the
-//     entries the apply callback installs) and commit it with saveMeta —
-//     a manifest-log record — this is the commit point;
+//     entries the apply callback installs) and commit it with one
+//     manifest-log record — this is the commit point;
 //  3. remove the old generation under the exclusive I/O latch, waiting
 //     out in-flight readers whose snapshots pinned it.
 //
@@ -694,10 +693,10 @@ func (s *Store) commitGenLocked(st *arrayState, newGen int, buildDir string, app
 		}
 	}
 	oldDir := st.chunksDir()
-	st.Gen = newGen          //avlint:allow-install generation flip precedes its commit by design: the payloads are already durable, and heal/reopen resolve the divergence when saveMeta below fails
+	st.Gen = newGen          //avlint:allow-install generation flip precedes its commit by design: the payloads are already durable, and heal/reopen resolve the divergence when the commit below fails
 	st.Format = formatFramed //avlint:allow-install committed together with Gen above; same divergence contract
 	apply()
-	if err := s.saveMeta(st); err != nil {
+	if err := s.man.commit(st.metaOp()); err != nil {
 		// the commit did not land on disk; in-memory state keeps the new
 		// generation (its payloads are all present and durable) and a
 		// reopen recovers to the old metadata + old generation. Memory
@@ -789,11 +788,12 @@ func (s *Store) DeleteVersion(name string, id int) error {
 	if err := s.writeGate(name); err != nil {
 		return err
 	}
-	st, err := s.lockMetaWrite(name)
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
+	st, err := s.lockWrite(name)
 	if err != nil {
 		return err
 	}
-	defer st.commitMu.Unlock()
 	defer st.writeMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -879,19 +879,11 @@ func (s *Store) DeleteVersion(name string, id int) error {
 				break
 			}
 		}
-		if s.opts.Durability {
-			if err := ws.sync(s); err != nil {
-				s.noteCommitFailure(st, err)
-				return err
-			}
-			if ws.createdFiles() {
-				if err := s.fs.SyncDir(ctx.dir); err != nil {
-					s.noteCommitFailure(st, err)
-					return err
-				}
-			}
+		if err := ws.sync(s, ctx.dir); err != nil {
+			s.noteCommitFailure(st, err)
+			return err
 		}
-		if err := s.commitMeta(st, &staged); err != nil {
+		if err := s.man.commit(manifestOp{Name: name, Meta: &staged}); err != nil {
 			if isUncertain(err) {
 				s.noteCommitFailure(st, err)
 			}
@@ -936,10 +928,9 @@ func (s *Store) Compact(name string) error {
 		return err
 	}
 	defer st.reorgMu.Unlock()
-	// commitMu: the generation flip commits new metadata, which must
-	// serialize with insert leaders committing outside Store.mu
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
+	// the commit latch: the generation flip commits new metadata
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -9,7 +9,7 @@ import (
 // CommitPoint enforces the staged-metadata protocol that fixed the
 // phantom-version bug (PR 5): mutators clone the durable document
 // (metaClone), edit the clone, commit it through the commit seam
-// (commitMeta / saveMeta — a manifest-log append), and only then
+// ((*manifest).commit — the one manifest-log append), and only then
 // install it into the live arrayState. Writing an installed arrayMeta field BEFORE the
 // commit re-creates the bug class: a failed commit leaves in-memory
 // metadata (a selectable phantom version) that a reopen loses.
@@ -33,24 +33,11 @@ var CommitPoint = &Analyzer{
 	Run: runCommitPoint,
 }
 
-// commitSeamFuncs are the calls that constitute the metadata commit
-// point.
-var commitSeamFuncs = map[string]bool{
-	"commitMeta": true,
-	"saveMeta":   true,
-}
-
-// commitSeamCall reports whether the call is a commit-seam invocation:
-// one of commitSeamFuncs, or the manifest log's own append
-// ((*manifest).commit — the seam commitMeta itself bottoms out in,
-// which multi-array commits invoke directly to make N arrays durable
-// in one record).
+// commitSeamCall reports whether the call is the commit seam: the
+// manifest log's one append function, (*manifest).commit, which every
+// metadata writer calls — one record, one op per array it commits.
 func commitSeamCall(info *types.Info, call *ast.CallExpr) bool {
-	name, _ := calleeOf(info, call)
-	if commitSeamFuncs[name] {
-		return true
-	}
-	if name != "commit" {
+	if name, _ := calleeOf(info, call); name != "commit" {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)

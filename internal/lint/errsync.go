@@ -6,9 +6,10 @@ import (
 )
 
 // ErrSync flags discarded error results from Close, Sync, and Flush
-// calls — plus the commit seam itself (commitMeta / saveMeta) —
-// inside the durable packages. A swallowed Close after a buffered
-// write is silent data loss (PR 3 fixed exactly that in writeBlob); a swallowed commitMeta is a mutation whose durability
+// calls — plus the commit seam itself ((*manifest).commit, see
+// commitSeamCall) — inside the durable packages. A swallowed Close
+// after a buffered write is silent data loss (writeBlob once lost
+// data exactly that way); a swallowed commit is a mutation whose durability
 // nobody checked. The rule covers bare expression statements, defer,
 // and go statements. An explicit `_ = f.Close()` is allowed: the
 // discard is visible and greppable, which is the point.
@@ -17,7 +18,7 @@ import (
 var ErrSync = &Analyzer{
 	Name:      "errsync",
 	Directive: "err",
-	Doc:       "Close/Sync/Flush/commitMeta error results must not be silently discarded on durable paths",
+	Doc:       "Close/Sync/Flush/manifest commit error results must not be silently discarded on durable paths",
 	Applies: func(path string) bool {
 		return PathSuffix(path, "internal/core") ||
 			PathSuffix(path, "internal/fsio") ||
@@ -32,13 +33,6 @@ var errSyncMethods = map[string]bool{
 	"Close": true,
 	"Sync":  true,
 	"Flush": true,
-}
-
-// errSyncCommitFuncs are the repo's commit-seam functions: discarding
-// their error discards the outcome of a durable commit point.
-var errSyncCommitFuncs = map[string]bool{
-	"commitMeta": true,
-	"saveMeta":   true,
 }
 
 func runErrSync(pass *Pass) {
@@ -61,13 +55,14 @@ func runErrSync(pass *Pass) {
 				return true
 			}
 			name := sel.Sel.Name
-			if !errSyncMethods[name] && !errSyncCommitFuncs[name] {
+			seam := commitSeamCall(pass.Pkg.Info, call)
+			if !errSyncMethods[name] && !seam {
 				return true
 			}
 			if !callReturnsError(pass.Pkg.Info, call) {
 				return true
 			}
-			if errSyncCommitFuncs[name] {
+			if seam {
 				pass.Reportf(call.Pos(), "%s error discarded: the metadata commit outcome decides durability and degraded-mode handling", name)
 			} else {
 				pass.Reportf(call.Pos(), "%s error discarded on a durable path (check it, or discard explicitly with `_ = x.%s()`)", name, name)

@@ -13,8 +13,11 @@ import (
 // partial order (see Store/arrayState doc comments and DESIGN.md
 // "Static analysis") is:
 //
-//	reorgMu < syncMu < commitMu < writeMu < Store.mu < ioMu < pendMu
-//	        < healthMu < tuneEstMu < statsMu
+//	reorgMu < manifest.mu < writeMu < Store.mu < ioMu < healthMu
+//	        < tuneEstMu < statsMu
+//
+// manifest.mu is the store-wide commit latch: every metadata writer
+// takes it before Store.mu.
 //
 // The analyzer builds a static acquisition graph from direct
 // .Lock()/.RLock() calls, from lockArray call sites (the func-literal
@@ -30,8 +33,8 @@ import (
 //   - a lockArray latch list whose literal order descends
 //   - cycles in the observed acquisition graph
 //
-// Cross-instance acquisitions within the per-array latch family
-// (InsertMulti's sorted-name protocol) are exempt: the rank order
+// Cross-instance acquisitions within the per-array latch family (the
+// commit latch holder's sorted-name write latches) are exempt: the rank order
 // governs one array's latches; multi-array ordering is by name, which
 // a rank cannot express. Escape hatch: //avlint:allow-lock <reason>.
 var LockOrder = &Analyzer{
@@ -46,30 +49,27 @@ var LockOrder = &Analyzer{
 
 // lockOrderDoc is the canonical order, embedded in diagnostics so the
 // fix is in the message.
-const lockOrderDoc = "reorgMu < syncMu < commitMu < writeMu < Store.mu < ioMu < pendMu < healthMu < tuneEstMu < statsMu"
+const lockOrderDoc = "reorgMu < manifest.mu < writeMu < Store.mu < ioMu < healthMu < tuneEstMu < statsMu"
 
 // lockRank maps "Type.field" to its position in the partial order.
 // Lower ranks are acquired first. Locks not listed here (writeSet.mu,
-// genMaps.mu, the manifest latches, ...) are internal leaves outside
-// the documented hierarchy and are ignored.
+// genMaps.mu, the manifest's queue mutex qmu, ...) are internal leaves
+// outside the documented hierarchy and are ignored.
 var lockRank = map[string]int{
-	"arrayState.reorgMu":  0,
-	"arrayState.syncMu":   10,
-	"arrayState.commitMu": 20,
-	"arrayState.writeMu":  30,
-	"Store.mu":            40,
-	"arrayState.ioMu":     50,
-	"arrayState.pendMu":   60,
-	"Store.healthMu":      70,
-	"Store.tuneEstMu":     80,
-	"Store.statsMu":       90,
+	"arrayState.reorgMu": 0,
+	"manifest.mu":        20,
+	"arrayState.writeMu": 30,
+	"Store.mu":           40,
+	"arrayState.ioMu":    50,
+	"Store.healthMu":     70,
+	"Store.tuneEstMu":    80,
+	"Store.statsMu":      90,
 }
 
+// lockShortName names a lock in diagnostics: per-array latches by field
+// name, store-level ones qualified by their type.
 func lockShortName(key string) string {
-	if i := strings.IndexByte(key, '.'); i >= 0 && !strings.HasPrefix(key, "Store.") {
-		return key[i+1:]
-	}
-	return key
+	return strings.TrimPrefix(key, "arrayState.")
 }
 
 func arrayFamily(key string) bool { return strings.HasPrefix(key, "arrayState.") }
@@ -261,7 +261,7 @@ func simulate(events []lockEvent, summaries map[types.Object]*lockSummary, edges
 	// Export only pure acquisitions: a lock with ANY release event in
 	// this body is managed here (possibly on branches the linear scan
 	// cannot pair exactly) and must not leak into caller summaries as
-	// phantom held state. Pure acquirers — lockWrite, lockMetaWrite —
+	// phantom held state. Pure acquirers — lockWrite, lockRewrite —
 	// have no release events and export correctly.
 	released := map[string]bool{}
 	for _, e := range events {
@@ -280,8 +280,8 @@ func simulate(events []lockEvent, summaries map[types.Object]*lockSummary, edges
 
 // edgeSuppressed implements the multi-instance exemption: within the
 // per-array latch family, ordering across DIFFERENT arrayState
-// instances is governed by the sorted-name protocol (InsertMulti), not
-// by rank, so pairs with differing or unknown receivers are skipped —
+// instances is governed by the sorted-name protocol (the commit latch
+// holder taking every touched array's writeMu), not by rank, so pairs with differing or unknown receivers are skipped —
 // except a provably same-instance pair, which is always checked.
 func edgeSuppressed(h heldLock, key, inst string) bool {
 	if !arrayFamily(h.key) || !arrayFamily(key) {
@@ -523,7 +523,7 @@ func (la *lockAnalysis) rankedLock(expr ast.Expr) (key, inst string, ok bool) {
 
 // latchListOf decodes a lockArray call's func-literal pick argument:
 // `func(st *arrayState) []*sync.Mutex { return
-// []*sync.Mutex{&st.syncMu, &st.commitMu} }` -> the ranked keys in
+// []*sync.Mutex{&st.reorgMu, &s.man.mu} }` -> the ranked keys in
 // literal order.
 func (la *lockAnalysis) latchListOf(call *ast.CallExpr) ([]heldLock, bool) {
 	if len(call.Args) < 2 {

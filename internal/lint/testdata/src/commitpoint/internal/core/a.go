@@ -19,11 +19,10 @@ type arrayState struct {
 
 type manifest struct{}
 
-func (man *manifest) commit() error { return nil }
+// commit is the commit seam: the manifest log's one append function.
+func (man *manifest) commit(m ...*arrayMeta) error { return nil }
 
 type Store struct{ man *manifest }
-
-func (s *Store) commitMeta(st *arrayState, m *arrayMeta) error { return nil }
 
 // installMeta is the designated installer: its own writes ARE the
 // install implementation; call sites must be commit-dominated.
@@ -38,7 +37,7 @@ func (st *arrayState) installMeta(m arrayMeta) {
 func (s *Store) badDirectWrite(st *arrayState) error {
 	st.NextID++ // want `write to installed metadata field arrayMeta\.NextID before any commit-seam call`
 	m := st.arrayMeta
-	return s.commitMeta(st, &m)
+	return s.man.commit(&m)
 }
 
 func (s *Store) badWholeDoc(st *arrayState, m arrayMeta) {
@@ -48,7 +47,7 @@ func (s *Store) badWholeDoc(st *arrayState, m arrayMeta) {
 func (s *Store) badInstallFirst(st *arrayState) error {
 	m := st.arrayMeta
 	st.installMeta(m) // want `installer installMeta called before any commit-seam call`
-	return s.commitMeta(st, &m)
+	return s.man.commit(&m)
 }
 
 // the staged-clone protocol: edit a detached document, commit it,
@@ -57,16 +56,16 @@ func (s *Store) good(st *arrayState) error {
 	m := st.arrayMeta
 	m.NextID++
 	m.Versions = append(m.Versions, versionMeta{ID: m.NextID})
-	if err := s.commitMeta(st, &m); err != nil {
+	if err := s.man.commit(&m); err != nil {
 		return err
 	}
 	st.installMeta(m)
 	return nil
 }
 
-// the manifest log's own append is equally a commit seam
+// several arrays' documents in one record: one seam call
 func (s *Store) goodManifest(st *arrayState, m arrayMeta) error {
-	if err := s.man.commit(); err != nil {
+	if err := s.man.commit(&m, &m); err != nil {
 		return err
 	}
 	st.installMeta(m)

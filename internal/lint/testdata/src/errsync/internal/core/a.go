@@ -10,21 +10,24 @@ import (
 
 type arrayState struct{ dirty bool }
 
-type Store struct{}
+type manifest struct{}
 
-func (s *Store) commitMeta(st *arrayState) error { return nil }
+// commit is the commit seam: the manifest log's one append function.
+func (man *manifest) commit(ops ...string) error { return nil }
+
+type Store struct{ man *manifest }
 
 func bad(f *os.File, w *bufio.Writer, s *Store, st *arrayState) {
-	f.Close()        // want `Close error discarded on a durable path`
-	defer f.Sync()   // want `Sync error discarded on a durable path`
-	go f.Close()     // want `Close error discarded on a durable path`
-	w.Flush()        // want `Flush error discarded on a durable path`
-	s.commitMeta(st) // want `commitMeta error discarded: the metadata commit outcome`
+	f.Close()         // want `Close error discarded on a durable path`
+	defer f.Sync()    // want `Sync error discarded on a durable path`
+	go f.Close()      // want `Close error discarded on a durable path`
+	w.Flush()         // want `Flush error discarded on a durable path`
+	s.man.commit("a") // want `commit error discarded: the metadata commit outcome`
 }
 
 func good(f *os.File, s *Store, st *arrayState) error {
 	_ = f.Close() // explicit discard is visible and greppable: allowed
-	if err := s.commitMeta(st); err != nil {
+	if err := s.man.commit("a"); err != nil {
 		return err
 	}
 	defer func() { _ = f.Close() }()

@@ -374,8 +374,15 @@ func TestInsertBatchAtomicAndChained(t *testing.T) {
 // -race safety net for the off-lock staging path and the store-wide
 // commit queue. Every acknowledged insert must read back
 // byte-identical, the commit counters must account for every version,
-// and a recovery reopen must agree with the live store.
+// and a recovery reopen must agree with the live store. The body runs
+// as the subtest "disableGroupCommit=false", the name it carried while
+// group commit could still be switched off; the commit queue is now
+// always on, so that is the one mode left.
 func TestGroupCommitStress(t *testing.T) {
+	t.Run("disableGroupCommit=false", testGroupCommitStress)
+}
+
+func testGroupCommitStress(t *testing.T) {
 	const (
 		writers    = 8
 		arrays     = 4

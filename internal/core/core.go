@@ -76,8 +76,8 @@ type Options struct {
 	AutoBatchK int
 	// Parallelism bounds the worker pool the select and insert hot paths
 	// fan chunk work out on (read→decompress→delta-unwind on select,
-	// encode→compress on insert). Zero or negative means GOMAXPROCS; 1
-	// runs fully serial.
+	// encode→compress on insert, the commit's chunk-file fsyncs). Zero
+	// or negative means GOMAXPROCS; 1 runs fully serial.
 	Parallelism int
 	// CacheBytes bounds the store-wide LRU of reconstructed chunks shared
 	// across queries. Zero disables the cache (every select re-walks its
@@ -956,12 +956,16 @@ func (s *Store) CreateArray(schema array.Schema) error {
 	defer s.man.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.createArrayLocked(schema, nil)
+	return s.createArrayLocked(schema, nil, nil, "")
 }
 
-// createArrayLocked commits a new, empty array. Callers have passed
-// writeGate and hold the commit latch and Store.mu.
-func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef) error {
+// createArrayLocked commits a new array together with its first
+// versions: ps staged in order as versions of the given kind (Branch and
+// Merge pass them; CreateArray passes none). ONE manifest record creates
+// the array and its versions, so the array appears whole or not at all
+// and a failure leaves nothing to roll back but its directory. Callers
+// have passed writeGate and hold the commit latch and Store.mu.
+func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef, ps []Payload, kind string) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -1004,16 +1008,26 @@ func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef) 
 		},
 		dir: dir,
 	}
-	if err := s.man.commit(st.metaOp()); err != nil {
-		// the array was never visible, so its directory is debris. An
-		// uncertain commit already degraded the store via the poisoned
-		// log, and the heal's truncation drops the record that may have
-		// landed.
+	doc, planes, err := s.stageFirstVersionsLocked(st, ps, kind)
+	if err == nil {
+		err = s.man.commit(manifestOp{Name: schema.Name, Meta: &doc})
+	}
+	if err != nil {
+		// the array was never visible, so its directory — with any blobs
+		// staged into it — is debris. An uncertain commit already
+		// degraded the store via the poisoned log, and the heal's
+		// truncation drops the record that may have landed.
 		s.noteDiskPressure(err)
 		_ = s.fs.RemoveAll(dir)
 		return err
 	}
+	st.installMeta(doc)
 	s.arrays[schema.Name] = st
+	s.publishLocked(st, planes)
+	if len(ps) > 0 {
+		s.addGroupCommit(len(ps))
+		s.prof.batchSize.Observe(float64(len(ps)))
+	}
 	return nil
 }
 

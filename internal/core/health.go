@@ -305,16 +305,19 @@ func (s *Store) probeDir(dir string) error {
 	return rerr
 }
 
-// healArray runs one array's heal pass. It acquires the array's
-// rewrite latch, the commit latch and the array's write latch, in the
-// documented order, so no insert, delete, or rewrite can be mid-commit:
-// the in-memory metadata it re-commits and sweeps against cannot move.
-// Inserts staged before the heal and still queued lose their unsynced
-// blobs to the sweep below; bumping st.heals makes the commit reject
-// them.
+// healArray runs one array's heal pass. It holds the array's rewrite
+// latch throughout and probes the disk under it alone, so a slow or
+// failing disk under this array never stalls commits on the others.
+// The commit latch and the array's write latch are then taken, in the
+// documented order, for the re-commit and the sweep: no insert, delete
+// or rewrite can be mid-commit, so the in-memory metadata it re-commits
+// and sweeps against cannot move. Inserts staged before the heal and
+// still queued lose their unsynced blobs to the sweep; bumping st.heals
+// makes the commit reject them. The final Verify runs with the commit
+// latch released: the write and rewrite latches keep this array still.
 func (s *Store) healArray(name string, rep *HealReport) error {
 	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &s.man.mu, &st.writeMu}
+		return []*sync.Mutex{&st.reorgMu}
 	})
 	if err != nil {
 		if errors.Is(err, ErrClosed) {
@@ -326,32 +329,55 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 		return nil
 	}
 	defer st.reorgMu.Unlock()
-	defer s.man.mu.Unlock()
-	defer st.writeMu.Unlock()
-	st.heals++
-
 	if err := s.probeDir(st.dir); err != nil {
 		return err
 	}
+	s.man.mu.Lock()
+	st.writeMu.Lock()
+	defer st.writeMu.Unlock()
+	live, err := s.healSweep(st, rep)
+	s.man.mu.Unlock()
+	if err != nil || !live {
+		return err
+	}
 
+	vrep, err := s.Verify(name)
+	if err != nil {
+		return err
+	}
+	if !vrep.Ok() {
+		return fmt.Errorf("core: heal verify found %d problem(s): %s", len(vrep.Problems), vrep.Problems[0])
+	}
+
+	s.clearDegraded(name)
+	return nil
+}
+
+// healSweep re-commits the array's metadata and runs the recovery sweep
+// on it, reporting live false (and clearing the mark) when the array
+// was dropped or replaced meanwhile. Callers hold the array's rewrite
+// latch, the commit latch and the array's write latch.
+func (s *Store) healSweep(st *arrayState, rep *HealReport) (live bool, err error) {
+	st.heals++
 	// re-commit the authoritative in-memory metadata. This single record
 	// resolves every uncertain outcome the degrade recorded: a data sync
 	// whose pages may be lost, or a rewrite whose generation flipped in
 	// memory but never committed (commitGenLocked's divergence).
+	name := st.Schema.Name
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
 	if s.arrays[name] != st {
 		s.mu.RUnlock()
 		s.clearDegraded(name)
-		return nil
+		return false, nil
 	}
 	op := st.metaOp()
 	s.mu.RUnlock()
 	if err := s.man.commit(op); err != nil {
-		return err
+		return false, err
 	}
 
 	// the Open-time recovery sweep, on the live store: drop commit
@@ -367,22 +393,12 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 	}
 	st.ioMu.Unlock()
 	if err != nil {
-		return err
+		return false, err
 	}
 	rep.SweptFiles += local.RemovedFiles
 	rep.TruncatedFiles += local.TruncatedFiles
 	rep.TruncatedBytes += local.TruncatedBytes
-
-	vrep, err := s.Verify(name)
-	if err != nil {
-		return err
-	}
-	if !vrep.Ok() {
-		return fmt.Errorf("core: heal verify found %d problem(s): %s", len(vrep.Problems), vrep.Problems[0])
-	}
-
-	s.clearDegraded(name)
-	return nil
+	return true, nil
 }
 
 // defaultHealInterval is the background prober's period when

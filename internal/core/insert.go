@@ -322,7 +322,6 @@ type stagedInsert struct {
 	fill   int64
 	gen    int    // chunk generation the blobs were appended into
 	format int    // and its chunk format
-	dir    string // that generation's chunks directory
 	heals  uint64 // st.heals when staged: a later heal swept the blobs
 	ws     *writeSet
 	// planes are the staged dense chunks, published write-through to
@@ -617,7 +616,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		// encode consistently with it (the commit re-validates)
 		repFixed, sparse, fill = true, st.stagedRep.sparse, st.stagedRep.fill
 	}
-	ins := &stagedInsert{st: st, gen: gen, format: format, dir: v.dir, heals: st.heals, ws: newWriteSet()}
+	ins := &stagedInsert{st: st, gen: gen, format: format, heals: st.heals, ws: newWriteSet()}
 	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.dir, format: format, sparse: sparse, goCtx: ctx,
 		keepPlanes: s.chunkCache != nil}
 	fail := func(err error) (*stagedInsert, error) {
@@ -639,6 +638,18 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	encDur := time.Since(encStart)
 	s.prof.observeCommit(StageStageEncode, encDur, ins.ws.totalBytes())
 	trace.FromContext(ctx).Observe(StageStageEncode, encDur, ins.ws.totalBytes())
+	// A chunk file this staging created is shared once writeMu drops:
+	// later stagings, DeleteVersion and the AutoBatchK re-encode append
+	// to it and may commit before this staging does, or without it when
+	// it fails. Its directory entry is therefore made durable now, while
+	// nothing else can reference the file; the data fsync stays with the
+	// commit (syncQueued).
+	if s.opts.Durability && ins.ws.createdFiles() {
+		if err := s.fs.SyncDir(v.dir); err != nil {
+			s.noteCommitFailure(st, err)
+			return fail(err)
+		}
+	}
 	ins.sparse, ins.fill = sparse, fill
 	ins.planes = ictx.planes
 	if repOpen && st.stagedRep == nil {
@@ -725,14 +736,14 @@ func (s *Store) awaitCommit(req *commitReq) {
 }
 
 // syncQueued makes the drained requests' payloads durable before their
-// commit: the union of their touched files, each fsynced ONCE in sorted
-// order — concurrent inserts on one array share its chain files, and
-// this sharing is where group commit's throughput comes from — then
-// the chunks directories they created files in, sorted. A missing file
-// or directory means a rewrite swept the generation mid-stage: every
-// request that touched it re-stages. Any other failure may have
-// dropped written pages, so the array degrades and its requests fail.
-// No-op without Durability.
+// commit: the union of their touched files, each fsynced ONCE —
+// concurrent inserts on one array share its chain files, and this
+// sharing is where group commit's throughput comes from. The
+// chunks directory entries of files they created are already durable
+// (stageBatch). A missing file means a rewrite swept the generation
+// mid-stage: every request that touched it re-stages. Any other
+// failure may have dropped written pages, so the array degrades and
+// its requests fail. No-op without Durability.
 func (s *Store) syncQueued(batch []*commitReq) {
 	if !s.opts.Durability {
 		return
@@ -742,45 +753,43 @@ func (s *Store) syncQueued(batch []*commitReq) {
 		st *arrayState
 	}
 	files := map[string][]touch{}
-	dirs := map[string][]touch{}
 	var total int64
 	for _, r := range batch {
 		if !r.pending() {
 			continue
 		}
 		for _, p := range r.parts {
-			t := touch{r, p.st}
 			for path := range p.ws.files {
-				files[path] = append(files[path], t)
-			}
-			if p.ws.createdFiles() {
-				dirs[p.dir] = append(dirs[p.dir], t)
+				files[path] = append(files[path], touch{r, p.st})
 			}
 			total += p.ws.totalBytes()
 		}
 	}
 	start := time.Now()
-	sync := func(set map[string][]touch, fsync func(string) error) {
-		for _, path := range sortedKeys(set) {
-			ts := set[path]
-			if !slices.ContainsFunc(ts, func(t touch) bool { return t.r.pending() }) {
-				continue
-			}
-			err := fsync(path)
-			for _, t := range ts {
-				switch {
-				case err == nil:
-				case errors.Is(err, fs.ErrNotExist):
+	paths := sortedKeys(files)
+	errs := make([]error, len(paths))
+	// independent files fsync in parallel on the hot-path pool, so the
+	// data fsyncs of coalesced inserts on different arrays overlap as
+	// they would outside the latch; with one worker the order is the
+	// sorted one, which is what the fault matrices enumerate
+	_ = forEachLimit(context.Background(), len(paths), s.opts.Parallelism, func(i int) error {
+		errs[i] = s.syncFile(paths[i])
+		return nil
+	})
+	for i, path := range paths {
+		for _, t := range files[path] {
+			switch err := errs[i]; {
+			case err == nil:
+			case errors.Is(err, fs.ErrNotExist):
+				if t.r.pending() {
 					t.r.retry = true
-				default:
-					s.noteCommitFailure(t.st, err)
-					t.r.fail(err)
 				}
+			default:
+				s.noteCommitFailure(t.st, err)
+				t.r.fail(err)
 			}
 		}
 	}
-	sync(files, s.syncFile)
-	sync(dirs, s.fs.SyncDir)
 	d := time.Since(start)
 	s.prof.observeCommit(StageDataFsync, d, total)
 	for _, r := range batch {
@@ -1081,61 +1090,44 @@ func staleBase(ins *stagedInsert, liveIDs map[int]bool) int {
 	return 0
 }
 
-// insertBatchLocked stages and commits a batch on an array the caller
-// owns exclusively: the freshly created array of Branch and Merge,
-// which no stager can reach because it becomes visible only when the
-// caller releases Store.mu. Callers hold the commit latch and Store.mu.
-// Like the queued path, nothing is installed into the live state until
-// the metadata commit succeeds.
-func (s *Store) insertBatchLocked(st *arrayState, ps []Payload, kind string) ([]int, error) {
+// stageFirstVersionsLocked stages ps, in order, as the first versions
+// of st — the array createArrayLocked is building, which no stager can
+// reach before its record commits — into a copy of st's document, and
+// makes their blobs durable. It returns the staged document and the
+// dense chunks to publish once it commits. On error the blobs are
+// left for the caller, which removes the whole array directory.
+// Callers hold the commit latch and Store.mu.
+func (s *Store) stageFirstVersionsLocked(st *arrayState, ps []Payload, kind string) (arrayMeta, []chunkPlane, error) {
 	staged := st.metaClone()
+	if len(ps) == 0 {
+		return staged, nil, nil
+	}
 	v := s.viewOfMeta(st, &staged, staged.NextID)
 	ws := newWriteSet()
 	qc := newChunkCache()
 	sparse, fill := staged.SparseRep, staged.Fill
-	repFixed := len(staged.Versions) > 0
+	repFixed := false
 	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, format: staged.Format, sparse: sparse,
 		keepPlanes: s.chunkCache != nil}
-	fail := func(err error) ([]int, error) {
-		ws.sweep(s)
-		s.noteDiskPressure(err)
-		return nil, err
-	}
-	var ids []int
 	for _, p := range ps {
 		id := staged.NextID
 		vm, err := s.stagePayload(ctx, p, id, kind, &repFixed, &sparse, &fill)
 		if err != nil {
-			return fail(err)
+			return staged, nil, err
 		}
 		staged.Versions = append(staged.Versions, vm)
 		staged.NextID = id + 1
 		staged.SparseRep, staged.Fill = sparse, fill
-		ids = append(ids, id)
 		if err := s.batchReencodeStaged(st, &staged, ws, qc); err != nil {
-			return fail(err)
+			return staged, nil, err
 		}
 	}
 	t0 := time.Now()
 	if err := ws.sync(s, ctx.dir); err != nil {
-		s.noteCommitFailure(st, err)
-		return fail(err)
+		return staged, nil, err
 	}
 	s.prof.observeCommit(StageDataFsync, time.Since(t0), ws.totalBytes())
-	t0 = time.Now()
-	if err := s.man.commit(manifestOp{Name: st.Schema.Name, Meta: &staged}); err != nil {
-		if isUncertain(err) {
-			s.noteCommitFailure(st, err)
-		}
-		return fail(err)
-	}
-	s.prof.observeCommit(StageMetaCommit, time.Since(t0), 0)
-	st.mutateLocked()
-	st.installMeta(staged)
-	s.publishLocked(st, ctx.planes)
-	s.addGroupCommit(len(ids))
-	s.prof.batchSize.Observe(float64(len(ids)))
-	return ids, nil
+	return staged, ctx.planes, nil
 }
 
 // batchReencodeStaged implements §IV-E's batched update heuristic on a
@@ -1508,27 +1500,30 @@ func (s *Store) Branch(srcName string, srcVersion int, newName string) error {
 	if !ok {
 		return fmt.Errorf("core: no array %q", srcName)
 	}
-	if _, err := st.version(srcVersion); err != nil {
+	p, err := s.versionPayloadLocked(st, srcVersion)
+	if err != nil {
 		return err
-	}
-	planes := make([]Plane, len(st.Schema.Attrs))
-	for ai, attr := range st.Schema.Attrs {
-		pl, err := s.readPlaneLocked(st, srcVersion, attr.Name)
-		if err != nil {
-			return err
-		}
-		planes[ai] = pl
 	}
 	schema := st.Schema
 	schema.Name = newName
-	if err := s.createArrayLocked(schema, &BranchRef{Array: srcName, Version: srcVersion}); err != nil {
-		return err
+	return s.createArrayLocked(schema, &BranchRef{Array: srcName, Version: srcVersion}, []Payload{p}, "branch")
+}
+
+// versionPayloadLocked reads every attribute of a committed version as
+// a full-plane payload. Callers hold Store.mu.
+func (s *Store) versionPayloadLocked(st *arrayState, id int) (Payload, error) {
+	if _, err := st.version(id); err != nil {
+		return Payload{}, err
 	}
-	if _, err := s.insertBatchLocked(s.arrays[newName], []Payload{{Planes: planes}}, "branch"); err != nil {
-		s.rollbackArrayLocked(newName)
-		return err
+	planes := make([]Plane, len(st.Schema.Attrs))
+	for ai, attr := range st.Schema.Attrs {
+		pl, err := s.readPlaneLocked(st, id, attr.Name)
+		if err != nil {
+			return Payload{}, err
+		}
+		planes[ai] = pl
 	}
-	return nil
+	return Payload{Planes: planes}, nil
 }
 
 // BranchedFrom returns the provenance of a branched array, or nil.
@@ -1590,40 +1585,12 @@ func (s *Store) Merge(newName string, parents []VersionRef) error {
 			}
 		}
 	}
-	if err := s.createArrayLocked(schema, nil); err != nil {
-		return err
-	}
-	for _, p := range parents {
-		st := s.arrays[p.Array]
-		if _, err := st.version(p.Version); err != nil {
-			s.rollbackArrayLocked(newName)
-			return err
-		}
-		planes := make([]Plane, len(st.Schema.Attrs))
-		for ai, attr := range st.Schema.Attrs {
-			pl, err := s.readPlaneLocked(st, p.Version, attr.Name)
-			if err != nil {
-				s.rollbackArrayLocked(newName)
-				return err
-			}
-			planes[ai] = pl
-		}
-		if _, err := s.insertBatchLocked(s.arrays[newName], []Payload{{Planes: planes}}, "merge"); err != nil {
-			s.rollbackArrayLocked(newName)
+	ps := make([]Payload, len(parents))
+	for i, p := range parents {
+		var err error
+		if ps[i], err = s.versionPayloadLocked(s.arrays[p.Array], p.Version); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func (s *Store) rollbackArrayLocked(name string) {
-	if st, ok := s.arrays[name]; ok {
-		// through the FS seam so a fault-injected crash cannot "remove"
-		// files a dead process never could
-		_ = s.fs.RemoveAll(st.dir)
-		delete(s.arrays, name)
-		s.invalidateArrayLocked(name)
-		s.workload.drop(name)
-		s.dropTuneEstimate(name)
-	}
+	return s.createArrayLocked(schema, nil, ps, "merge")
 }

@@ -607,3 +607,249 @@ func TestHealRejectsInsertsStagedBeforeIt(t *testing.T) {
 	want[id] = crashContent(3, side)
 	assertStoreAgrees(t, s, "B", want)
 }
+
+// TestSharedChunkFileSurvivesCreatorFailure pins the directory
+// durability of a shared chunk file. InsertMulti(X, Y) on a fresh X
+// creates X's chain files, a plain Insert(X) then appends to them, and
+// the InsertMulti fails or re-stages on Y's account: Y degraded, Y
+// healed since staging, or Y reorganized. The Insert commits, in the
+// same drained batch as the InsertMulti or a later one. A power cut
+// right after that commit must not drop the chain files' directory
+// entries under the committed version.
+func TestSharedChunkFileSurvivesCreatorFailure(t *testing.T) {
+	const side = 8
+	for _, spoil := range []string{"degraded", "healed", "reorganized"} {
+		for _, sameBatch := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/sameBatch=%v", spoil, sameBatch), func(t *testing.T) {
+				want := crashContent(9, side)
+				// run drives the scenario on a fresh store and returns its
+				// directory, the Insert's committed id and the step count
+				// at that commit
+				run := func(fault *fsio.Fault) (string, int, int64) {
+					opts := durableOpts(true, fault)
+					opts.HealInterval = -1
+					s := testStore(t, opts)
+					t.Cleanup(func() { _ = s.Close() })
+					for _, n := range []string{"X", "Y"} {
+						if err := s.CreateArray(schema2D(n, side)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for seed := int64(1); seed <= 2; seed++ {
+						if _, err := s.Insert("Y", DensePayload(crashContent(seed, side))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					ctx := context.Background()
+					multi, err := s.stageRequest(ctx, []MultiInsert{
+						{Array: "X", Payloads: []Payload{DensePayload(crashContent(3, side))}},
+						{Array: "Y", Payloads: []Payload{DensePayload(crashContent(4, side))}},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					single, err := s.stageRequest(ctx, []MultiInsert{{Array: "X", Payloads: []Payload{DensePayload(want)}}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch spoil {
+					case "degraded":
+						s.degradeArray("Y", errInjected)
+					case "healed":
+						s.degradeArray("Y", errInjected)
+						if _, err := s.Heal(); err != nil {
+							t.Fatal(err)
+						}
+					case "reorganized":
+						if err := s.Reorganize("Y", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if sameBatch {
+						s.man.qmu.Lock()
+						s.man.queue = append(s.man.queue, multi, single)
+						s.man.qmu.Unlock()
+						s.man.mu.Lock()
+						s.commitQueued(s.man.drain())
+						s.man.mu.Unlock()
+					} else {
+						s.awaitCommit(multi)
+					}
+					if ids, _ := s.settle(multi); ids != nil {
+						t.Fatalf("InsertMulti committed %v despite Y being %s", ids, spoil)
+					}
+					if !sameBatch {
+						s.awaitCommit(single)
+					}
+					ids, err := s.settle(single)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s.Dir(), ids[0][0], fault.Steps()
+				}
+				_, _, steps := run(fsio.NewFault(0))
+				// the same run again, with a power cut at the first mutation
+				// after the Insert's commit
+				fault := fsio.NewFault(steps + 1)
+				dir, id, _ := run(fault)
+				if err := fault.MkdirAll(filepath.Join(dir, "after-commit")); !errors.Is(err, fsio.ErrCrashed) {
+					t.Fatalf("power cut did not land after the commit: %v", err)
+				}
+				r, err := Open(dir, durableOpts(true, nil))
+				if err != nil {
+					t.Fatalf("reopen after the power cut: %v", err)
+				}
+				defer r.Close()
+				pl, err := r.Select("X", id)
+				if err != nil {
+					t.Fatalf("committed X@%d lost by the power cut: %v", id, err)
+				}
+				if !pl.Dense.Equal(want) {
+					t.Fatalf("X@%d not byte-identical after the power cut", id)
+				}
+			})
+		}
+	}
+}
+
+// TestBranchAndMergeCommitOneRecord pins that Branch and Merge create
+// their array and its versions with ONE manifest record: a failure
+// while staging the versions leaves no trace (the store verifies clean
+// and reopens without the array), and success costs one append.
+func TestBranchAndMergeCommitOneRecord(t *testing.T) {
+	const side = 8
+	ffs := &failFS{FS: fsio.OS}
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	opts.HealInterval = -1
+	opts.FS = ffs
+	s := testStore(t, opts)
+	defer s.Close()
+	if err := s.CreateArray(schema2D("Src", side)); err != nil {
+		t.Fatal(err)
+	}
+	v := []*array.Dense{crashContent(1, side), crashContent(2, side)}
+	for _, d := range v {
+		if _, err := s.Insert("Src", DensePayload(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops := []struct {
+		kind string
+		run  func(name string) error
+		want []*array.Dense
+	}{
+		{"branch", func(n string) error { return s.Branch("Src", 2, n) }, []*array.Dense{v[1]}},
+		{"merge", func(n string) error { return s.Merge(n, []VersionRef{{"Src", 2}, {"Src", 1}}) }, []*array.Dense{v[1], v[0]}},
+	}
+	for _, op := range ops {
+		bad := "Bad" + op.kind
+		ffs.arm(func(fsop, path string) bool {
+			return fsop == "write" && strings.Contains(path, string(filepath.Separator)+bad+string(filepath.Separator))
+		})
+		if err := op.run(bad); !errors.Is(err, errInjected) {
+			t.Fatalf("%s with a failing chunk write: err=%v", op.kind, err)
+		}
+		before := s.Stats().ManifestAppends
+		if err := op.run("Ok" + op.kind); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Stats().ManifestAppends - before; n != 1 {
+			t.Fatalf("%s took %d manifest appends, want 1", op.kind, n)
+		}
+	}
+	if rep, err := s.VerifyManifest(); err != nil || !rep.Ok() {
+		t.Fatalf("VerifyManifest after failed branch/merge: %+v, %v", rep, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts.FS = nil
+	r, err := Open(s.Dir(), opts)
+	if err != nil {
+		t.Fatalf("reopen after failed branch/merge: %v", err)
+	}
+	defer r.Close()
+	for _, op := range ops {
+		if _, err := r.Versions("Bad" + op.kind); err == nil {
+			t.Fatalf("failed %s left array %q behind", op.kind, "Bad"+op.kind)
+		}
+		for i, want := range op.want {
+			pl, err := r.Select("Ok"+op.kind, i+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pl.Dense.Equal(want) {
+				t.Fatalf("%s version %d not byte-identical after reopen", op.kind, i+1)
+			}
+		}
+	}
+}
+
+// blockProbeFS blocks the first heal probe file creation until release
+// is closed, signalling blocked once it is stuck there.
+type blockProbeFS struct {
+	fsio.FS
+	once    sync.Once
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (f *blockProbeFS) Create(path string) (fsio.File, error) {
+	if filepath.Base(path) == healProbeFile {
+		f.once.Do(func() {
+			close(f.blocked)
+			<-f.release
+		})
+	}
+	return f.FS.Create(path)
+}
+
+// TestHealProbeDoesNotStallOtherArrays pins that a heal's disk probe
+// runs outside the commit latch: while the probe under a degraded array
+// hangs, inserts on a healthy array still commit.
+func TestHealProbeDoesNotStallOtherArrays(t *testing.T) {
+	const side = 8
+	bfs := &blockProbeFS{FS: fsio.OS, blocked: make(chan struct{}), release: make(chan struct{})}
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	opts.HealInterval = -1
+	opts.FS = bfs
+	s := testStore(t, opts)
+	defer s.Close()
+	for _, n := range []string{"X", "Y"} {
+		if err := s.CreateArray(schema2D(n, side)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.degradeArray("X", errInjected)
+	healed := make(chan error, 1)
+	go func() {
+		_, err := s.Heal()
+		healed <- err
+	}()
+	<-bfs.blocked
+	inserted := make(chan error, 1)
+	go func() {
+		_, err := s.Insert("Y", DensePayload(crashContent(1, side)))
+		inserted <- err
+	}()
+	select {
+	case err := <-inserted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(bfs.release)
+		t.Fatal("an insert on a healthy array stalled behind another array's heal probe")
+	}
+	close(bfs.release)
+	if err := <-healed; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert("X", DensePayload(crashContent(2, side))); err != nil {
+		t.Fatalf("insert after the heal: %v", err)
+	}
+}
